@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Regenerate every artifact: build, test suite (plain and sanitized),
-# checked bench smoke runs, then all benches.
+# Regenerate every artifact: build, test suite (plain, sanitized and
+# Release), checked bench smoke runs, then all benches.
 # CRITMEM_INSTRS / CRITMEM_WARMUP scale simulation length.
 # CRITMEM_SKIP_ASAN=1 / CRITMEM_SKIP_TSAN=1 skip the sanitizer passes
 # (e.g. no clean rebuild budget); CRITMEM_SKIP_CHECKED=1 skips the
@@ -66,6 +66,14 @@ if [ "${CRITMEM_SKIP_ASAN:-0}" != "1" ]; then
     ./scripts/check_isolation.sh ./build-asan/examples/critmem-sweep \
         specs/isolation.sweep specs/fig10.sweep
 fi
+
+# Release pass: -O3 must compile under -Werror too (the optimizer's
+# extra flow analysis reports warnings -O2 never sees), and the suite
+# must pass on the optimized binaries perf numbers come from.
+cmake -B build-release -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j"$(nproc)"
+ctest --test-dir build-release --output-on-failure \
+    | tee test_output_release.txt
 
 # TSan pass: the execution engine's worker pool and a parallel sweep
 # under ThreadSanitizer.

@@ -10,6 +10,7 @@
 #include <memory>
 #include <regex>
 #include <set>
+#include <string_view>
 
 #include "analysis/rule.hh"
 
@@ -18,6 +19,24 @@ namespace critmem::analysis
 
 namespace
 {
+
+/**
+ * A finding message quoting the offending code: "'" + code + rest +
+ * more. Built by appends because GCC 12 at -O3 reports a -Wrestrict
+ * false positive on an operator+ chain that starts from "'".
+ */
+std::string
+quoteCode(std::string_view code, std::string_view rest,
+          std::string_view more = {})
+{
+    std::string msg;
+    msg.reserve(1 + code.size() + rest.size() + more.size());
+    msg += '\'';
+    msg += code;
+    msg += rest;
+    msg += more;
+    return msg;
+}
 
 /** Shared helper: flag every regex hit on the blanked-code view. */
 void
@@ -30,7 +49,7 @@ flagPattern(const SourceFile &file, const RuleMeta &meta,
         if (std::regex_search(file.code[li], match, pattern)) {
             out.push_back({meta.id, meta.severity, file.path,
                            static_cast<int>(li + 1),
-                           "'" + match.str() + "' " + reason});
+                           quoteCode(match.str(), "' ", reason)});
         }
     }
 }
@@ -490,12 +509,12 @@ class DurableWriteRule : public SourceRule
                 out.push_back(
                     {meta().id, meta().severity, file.path,
                      static_cast<int>(li + 1),
-                     "'" + match.str() +
-                         "' writes without crash atomicity; a death "
+                     quoteCode(match.str(),
+                               "' writes without crash atomicity; a death "
                          "mid-write leaves a torn file. Use "
-                         "AtomicFile (sim/atomic_file.hh) or add "
-                         "lint:allow(durable-write) with the "
-                         "durability story"});
+                               "AtomicFile (sim/atomic_file.hh) or add "
+                               "lint:allow(durable-write) with the "
+                               "durability story")});
                 continue;
             }
             if (!std::regex_search(file.code[li], match, kFopen))
@@ -684,14 +703,14 @@ class NoTerminateRule : public SourceRule
                 out.push_back(
                     {meta().id, meta().severity, file.path,
                      static_cast<int>(li + 1),
-                     "'" + (*it)[2].str() +
-                         ")' terminates the process from library "
-                         "code; a failure here must surface as an "
-                         "exception / classified job record, not "
-                         "kill the campaign. Throw instead, move the "
-                         "call to tools/, or add "
-                         "lint:allow(no-terminate) with why this "
-                         "path may terminate"});
+                     quoteCode((*it)[2].str(),
+                               ")' terminates the process from library "
+                               "code; a failure here must surface as an "
+                               "exception / classified job record, not "
+                               "kill the campaign. Throw instead, move "
+                               "the call to tools/, or add "
+                               "lint:allow(no-terminate) with why this "
+                               "path may terminate")});
                 break;
             }
         }

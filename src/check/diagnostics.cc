@@ -37,7 +37,8 @@ dumpQueue(std::ostringstream &os, const char *label,
             break;
         }
         os << "    id " << e.id << " " << typeName(e.type) << " addr 0x"
-           << std::hex << e.addr << std::dec << " core " << e.core
+           << std::hex << e.addr << std::dec << " "
+           << requestOrigin(e.type, e.core)
            << " crit " << e.crit << " rank " << e.coord.rank << " bank "
            << e.coord.bank << " row " << e.coord.row << " age "
            << (now >= e.arrival ? now - e.arrival : 0) << "\n";
@@ -45,6 +46,16 @@ dumpQueue(std::ostringstream &os, const char *label,
 }
 
 } // namespace
+
+std::string
+requestOrigin(ReqType type, CoreId core)
+{
+    if (type == ReqType::Prefetch)
+        return "prefetch";
+    if (type == ReqType::Write && core == kNoCore)
+        return "writeback";
+    return "core " + std::to_string(core);
+}
 
 std::string
 formatSnapshot(const ChannelSnapshot &snap, std::size_t maxQueueEntries)

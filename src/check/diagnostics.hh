@@ -12,9 +12,17 @@
 #include <string>
 
 #include "dram/observer.hh"
+#include "mem/request.hh"
 
 namespace critmem
 {
+
+/**
+ * Who a request belongs to, for diagnostics: "core N" for a core's
+ * demand request, "prefetch" for an L2 prefetch, "writeback" for a
+ * dirty eviction (neither carries a meaningful core id).
+ */
+std::string requestOrigin(ReqType type, CoreId core);
 
 /**
  * Render @p snap as a multi-line diagnostic dump. Queue listings are

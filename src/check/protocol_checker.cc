@@ -75,7 +75,7 @@ ProtocolChecker::onEnqueue(std::uint32_t channel, const MemRequest &req,
 {
     (void)coord;
     auto [it, inserted] = outstanding_.emplace(
-        req.id, Pending{channel, req.addr, req.core, now, false});
+        req.id, Pending{channel, req.addr, req.core, req.type, now, false});
     if (!inserted) {
         record(RuleId::DuplicateId, channel, now,
                "request id " + std::to_string(req.id) +
@@ -437,8 +437,9 @@ ProtocolChecker::scanStarvation(DramCycle now)
         if (now - pending.enqueued > check_.starvationCycles) {
             pending.starvationFlagged = true;
             record(RuleId::Starvation, pending.channel, now,
-                   "request id " + std::to_string(id) + " from core " +
-                       std::to_string(pending.core) + " (addr " +
+                   "request id " + std::to_string(id) + " from " +
+                       requestOrigin(pending.type, pending.core) +
+                       " (addr " +
                        std::to_string(pending.addr) +
                        ") outstanding for " +
                        std::to_string(now - pending.enqueued) +
@@ -456,8 +457,8 @@ ProtocolChecker::finalize(bool requireDrained)
         record(RuleId::LostRequest, pending.channel, lastSeenCycle_,
                std::to_string(outstanding_.size()) +
                    " request(s) never completed; oldest is id " +
-                   std::to_string(id) + " from core " +
-                   std::to_string(pending.core) +
+                   std::to_string(id) + " from " +
+                   requestOrigin(pending.type, pending.core) +
                    " enqueued at cycle " +
                    std::to_string(pending.enqueued));
     }

@@ -147,6 +147,7 @@ class ProtocolChecker : public ChannelObserver
         std::uint32_t channel = 0;
         Addr addr = 0;
         CoreId core = 0;
+        ReqType type = ReqType::Read;
         DramCycle enqueued = 0;
         bool starvationFlagged = false;
     };

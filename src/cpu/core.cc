@@ -56,8 +56,12 @@ Core::Stats::Stats(stats::Group &parent, CoreId id)
 Core::Core(const SystemConfig &cfg, CoreId id, TraceGenerator &gen,
            MemHierarchy &mem, stats::Group &parent)
     : cfg_(cfg), id_(id), gen_(gen), mem_(mem),
-      rob_(cfg.core.robEntries), stats_(parent, id)
+      rob_(cfg.core.robEntries), robSize_(cfg.core.robEntries),
+      storeDrain_(cfg.core.sqEntries),
+      pendingStoreAddrs_(cfg.core.sqEntries),
+      fuCompletions_(cfg.core.robEntries), stats_(parent, id)
 {
+    mem.attach(id, *this);
     const CritConfig &crit = cfg.crit;
     if (isCbp(crit.predictor)) {
         cbp_ = std::make_unique<CommitBlockPredictor>(
@@ -82,10 +86,12 @@ Core::criticalityOf(const MicroOp &op) const
 }
 
 void
-Core::markComplete(RobEntry &entry, Cycle)
+Core::markComplete(RobEntry &entry)
 {
     entry.state = EntryState::Complete;
-    for (const std::uint32_t idx : entry.waiters) {
+    for (std::uint32_t n = entry.waiters.head; n != wakeups_.kNil;
+         n = wakeups_.next(n)) {
+        const std::uint32_t idx = wakeups_.value(n);
         RobEntry &waiter = rob_[idx];
         if (waiter.state == EntryState::Waiting &&
             waiter.srcsPending > 0 && --waiter.srcsPending == 0) {
@@ -93,24 +99,23 @@ Core::markComplete(RobEntry &entry, Cycle)
             readyList_.push_back(idx);
         }
     }
-    entry.waiters.clear();
+    wakeups_.release(entry.waiters);
 }
 
 void
 Core::completeStage(Cycle now)
 {
-    while (!fuCompletions_.empty() && fuCompletions_.top().first <= now) {
-        const SeqNum seq = fuCompletions_.top().second;
-        fuCompletions_.pop();
-        RobEntry &entry = entryOf(seq);
+    std::uint32_t slot;
+    while (fuCompletions_.popDue(now, slot)) {
+        RobEntry &entry = rob_[slot];
         if (entry.op.cls == OpClass::Branch) {
             --unresolvedBranches_;
-            if (seq == redirectBranch_) {
+            if (entry.seq == redirectBranch_) {
                 redirectBranch_ = ~SeqNum{0};
                 fetchResumeAt_ = now + cfg_.core.mispredictPenalty;
             }
         }
-        markComplete(entry, now);
+        markComplete(entry);
     }
 }
 
@@ -120,7 +125,7 @@ Core::commitStage(Cycle now)
     for (std::uint32_t n = 0; n < cfg_.core.commitWidth; ++n) {
         if (robCount_ == 0)
             return;
-        RobEntry &head = entryOf(headSeq_);
+        RobEntry &head = rob_[headSlot_];
         if (head.state != EntryState::Complete) {
             // A completed-but-stalled head never happens; only an
             // incomplete issued load is "blocking" in the paper's
@@ -162,7 +167,9 @@ Core::commitStage(Cycle now)
             break;
           case OpClass::Store:
             ++stats_.committedStores;
-            storeDrain_.push(head.op.addr);
+            storeDrain_[wrapDrain(drainHead_ + drainCount_)] =
+                head.op.addr;
+            ++drainCount_;
             break;
           case OpClass::Branch:
             ++stats_.committedBranches;
@@ -173,7 +180,7 @@ Core::commitStage(Cycle now)
             break;
         }
         ++stats_.committedOps;
-        ++headSeq_;
+        headSlot_ = wrap(headSlot_ + 1);
         --robCount_;
         if (finishCycle_ == kNoCycle && quota_ != 0 &&
             stats_.committedOps.value() >= quota_) {
@@ -183,26 +190,22 @@ Core::commitStage(Cycle now)
 }
 
 void
-Core::issueLoad(RobEntry &entry, Cycle now, bool &accepted)
+Core::issueLoad(std::uint32_t slot, Cycle now, bool &accepted)
 {
+    RobEntry &entry = rob_[slot];
     // Perfect disambiguation with store-to-load forwarding: a load
     // whose word matches an in-flight older store gets its value from
     // the SQ without touching the cache.
     if (pendingStoreAddrs_.contains(wordAlign(entry.op.addr))) {
         ++stats_.loadsForwarded;
         entry.state = EntryState::Issued;
-        fuCompletions_.emplace(now + 1, entry.seq);
+        fuCompletions_.push(slot, now + 1, entry.seq);
         accepted = true;
         return;
     }
 
     const CritLevel crit = criticalityOf(entry.op);
-    const SeqNum seq = entry.seq;
-    const bool ok = mem_.load(id_, entry.op.addr, crit, [this, seq] {
-        wake();
-        RobEntry &done = entryOf(seq);
-        markComplete(done, now_);
-    });
+    const bool ok = mem_.load(id_, entry.op.addr, crit, slot);
     if (!ok) {
         ++stats_.loadRetries;
         accepted = false;
@@ -248,7 +251,7 @@ Core::issueStage(Cycle now)
           case OpClass::Load:
             if (loads < c.loadPorts) {
                 bool accepted = false;
-                issueLoad(entry, now, accepted);
+                issueLoad(idx, now, accepted);
                 ++loads; // the port is consumed either way
                 ok = accepted;
             }
@@ -257,8 +260,8 @@ Core::issueStage(Cycle now)
             if (stores < c.storePorts) {
                 ++stores;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(idx, now + entry.op.latency,
+                                    entry.seq);
                 ok = true;
             }
             break;
@@ -266,8 +269,8 @@ Core::issueStage(Cycle now)
             if (branches < c.branchUnits) {
                 ++branches;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(idx, now + entry.op.latency,
+                                    entry.seq);
                 ok = true;
             }
             break;
@@ -275,8 +278,8 @@ Core::issueStage(Cycle now)
             if (intAlu < c.intAlus) {
                 ++intAlu;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(idx, now + entry.op.latency,
+                                    entry.seq);
                 ok = true;
             }
             break;
@@ -284,8 +287,8 @@ Core::issueStage(Cycle now)
             if (intMul < c.intMuls) {
                 ++intMul;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(idx, now + entry.op.latency,
+                                    entry.seq);
                 ok = true;
             }
             break;
@@ -293,8 +296,8 @@ Core::issueStage(Cycle now)
             if (fpAlu < c.fpAlus) {
                 ++fpAlu;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(idx, now + entry.op.latency,
+                                    entry.seq);
                 ok = true;
             }
             break;
@@ -302,8 +305,8 @@ Core::issueStage(Cycle now)
             if (fpMul < c.fpMuls) {
                 ++fpMul;
                 entry.state = EntryState::Issued;
-                fuCompletions_.emplace(now + entry.op.latency,
-                                       entry.seq);
+                fuCompletions_.push(idx, now + entry.op.latency,
+                                    entry.seq);
                 ok = true;
             }
             break;
@@ -326,19 +329,35 @@ Core::drainStores(Cycle now)
 {
     (void)now;
     std::uint32_t drained = 0;
-    while (!storeDrain_.empty() && drained < cfg_.core.storePorts) {
-        const Addr addr = storeDrain_.front();
-        const bool ok = mem_.store(id_, addr, [this, addr] {
-            wake();
-            --sqCount_;
-            const auto it = pendingStoreAddrs_.find(wordAlign(addr));
-            if (it != pendingStoreAddrs_.end() && --it->second == 0)
-                pendingStoreAddrs_.erase(it);
-        });
-        if (!ok)
+    while (drainCount_ != 0 && drained < cfg_.core.storePorts) {
+        if (!mem_.store(id_, storeDrain_[drainHead_]))
             return;
-        storeDrain_.pop();
+        drainHead_ = wrapDrain(drainHead_ + 1);
+        --drainCount_;
         ++drained;
+    }
+}
+
+void
+Core::complete(const Completion &done)
+{
+    wake();
+    switch (done.kind) {
+      case Completion::Kind::Load:
+        markComplete(rob_[done.slot]);
+        break;
+      case Completion::Kind::Store: {
+        --sqCount_;
+        const Addr word = wordAlign(done.addr);
+        std::uint32_t *pending = pendingStoreAddrs_.find(word);
+        if (pending && --*pending == 0)
+            pendingStoreAddrs_.erase(word);
+        break;
+      }
+      case Completion::Kind::Fetch:
+        fetchBlockedOnIcache_ = false;
+        fetchedBlock_ = done.addr & ~Addr{cfg_.il1.blockBytes - 1};
+        break;
     }
 }
 
@@ -376,13 +395,8 @@ Core::dispatchStage(Cycle now)
             if (mem_.fetchProbe(id_, op.pc)) {
                 fetchedBlock_ = block;
             } else {
-                if (mem_.fetch(id_, op.pc, [this, block] {
-                        wake();
-                        fetchBlockedOnIcache_ = false;
-                        fetchedBlock_ = block;
-                    })) {
+                if (mem_.fetch(id_, op.pc))
                     fetchBlockedOnIcache_ = true;
-                }
                 return; // miss (or iL1 MSHRs full): retry later
             }
         }
@@ -411,7 +425,9 @@ Core::dispatchStage(Cycle now)
 
         // Allocate the ROB entry.
         const SeqNum seq = nextSeq_++;
-        RobEntry &entry = entryOf(seq);
+        const std::uint32_t slot = tailSlot_;
+        tailSlot_ = wrap(tailSlot_ + 1);
+        RobEntry &entry = rob_[slot];
         entry.op = op;
         entry.seq = seq;
         entry.state = EntryState::Waiting;
@@ -420,23 +436,23 @@ Core::dispatchStage(Cycle now)
         entry.blocked = false;
         entry.stallCycles = 0;
         entry.consumers = 0;
-        entry.waiters.clear();
+        entry.waiters = {};
         ++robCount_;
         hasPendingOp_ = false;
 
-        // Resolve dependences against the ROB.
+        // Resolve dependences against the ROB. The producer is still
+        // in flight iff it is one of the robCount_ - 1 older entries.
         const auto addDep = [&](std::uint16_t dist) {
-            if (dist == 0 || dist > seq)
-                return;
-            const SeqNum producerSeq = seq - dist;
-            if (producerSeq < headSeq_)
-                return; // producer already committed
-            RobEntry &producer = entryOf(producerSeq);
+            if (dist == 0 || dist >= robCount_)
+                return; // no dependence, or producer already committed
+            const std::uint32_t producerSlot =
+                slot >= dist ? slot - dist : slot + robSize_ - dist;
+            RobEntry &producer = rob_[producerSlot];
             if (producer.op.cls == OpClass::Load)
                 ++producer.consumers;
             if (producer.state != EntryState::Complete) {
                 ++entry.srcsPending;
-                producer.waiters.push_back(robIndex(seq));
+                wakeups_.push(producer.waiters, slot);
             }
         };
         addDep(op.dep1);
@@ -463,7 +479,7 @@ Core::dispatchStage(Cycle now)
 
         if (entry.srcsPending == 0) {
             entry.state = EntryState::Ready;
-            readyList_.push_back(robIndex(seq));
+            readyList_.push_back(slot);
         }
 
         if (op.cls == OpClass::Branch && op.mispredict) {
@@ -534,10 +550,10 @@ Core::nextEventCycle(Cycle now) const
 {
     if (!active_)
         return kNoCycle;
-    if (!readyList_.empty() || !storeDrain_.empty())
+    if (!readyList_.empty() || drainCount_ != 0)
         return now + 1;
     if (robCount_ > 0) {
-        const RobEntry &head = entryOf(headSeq_);
+        const RobEntry &head = rob_[headSlot_];
         if (head.state == EntryState::Complete)
             return now + 1; // commit proceeds next tick
         if (head.op.cls == OpClass::Load &&
@@ -551,8 +567,7 @@ Core::nextEventCycle(Cycle now) const
     Cycle next = kNoCycle;
     if (cbp_)
         next = std::min(next, cbp_->nextResetAt());
-    if (!fuCompletions_.empty())
-        next = std::min(next, fuCompletions_.top().first);
+    next = std::min(next, fuCompletions_.nextCycle());
 
     const DispatchState d = dispatchState();
     if (d != DispatchState::Idle) {
@@ -580,7 +595,7 @@ Core::skipTo(Cycle to)
     stats_.cycles += k;
 
     if (robCount_ > 0) {
-        RobEntry &head = entryOf(headSeq_);
+        RobEntry &head = rob_[headSlot_];
         if (head.op.cls == OpClass::Load &&
             head.state == EntryState::Issued && head.blocked)
             head.stallCycles += k;

@@ -23,14 +23,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
+#include "cpu/completion_ring.hh"
 #include "crit/cbp.hh"
 #include "crit/clpt.hh"
 #include "mem/hierarchy.hh"
 #include "sim/config.hh"
+#include "sim/flat_table.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "trace/generator.hh"
@@ -38,11 +38,15 @@
 namespace critmem
 {
 
-/** One out-of-order core. */
-class Core
+/**
+ * One out-of-order core. It is the CompletionSink of its own accesses:
+ * the hierarchy hands each finished load, store and fetch back to it.
+ */
+class Core final : public CompletionSink
 {
   public:
     /**
+     * Attaches itself to @p mem as core @p id's completion sink.
      * @param cfg Whole-system configuration (core + crit sections).
      * @param id This core's id.
      * @param gen Micro-op source; must outlive the core.
@@ -51,6 +55,12 @@ class Core
      */
     Core(const SystemConfig &cfg, CoreId id, TraceGenerator &gen,
          MemHierarchy &mem, stats::Group &parent);
+
+    Core(const Core &) = delete;
+    Core &operator=(const Core &) = delete;
+
+    /** A memory access of this core finished (called by @p mem_). */
+    void complete(const Completion &done) override;
 
     /** Stop fetching new micro-ops after this many commits. */
     void setQuota(std::uint64_t instructions) { quota_ = instructions; }
@@ -130,7 +140,7 @@ class Core
     }
 
     /** @return true when no instruction is in flight. */
-    bool drained() const { return robCount_ == 0 && storeDrain_.empty(); }
+    bool drained() const { return robCount_ == 0 && drainCount_ == 0; }
 
     /** Per-core statistics. */
     struct Stats
@@ -185,18 +195,26 @@ class Core
         bool blocked = false;       ///< has blocked the ROB head
         std::uint64_t stallCycles = 0;
         std::uint32_t consumers = 0; ///< direct consumers (CLPT)
-        std::vector<std::uint32_t> waiters; ///< ROB indices to wake
+        ListPool<std::uint32_t>::List waiters; ///< ROB slots to wake
     };
 
-    std::uint32_t robIndex(SeqNum seq) const
+    /**
+     * ROB slots are addressed without division: the head and tail
+     * slots advance with wrap(), and a producer's slot is the
+     * consumer's minus the dependence distance, wrapped the same way.
+     */
+    std::uint32_t
+    wrap(std::uint32_t slot) const
     {
-        return static_cast<std::uint32_t>(seq % rob_.size());
+        return slot >= robSize_ ? slot - robSize_ : slot;
     }
 
-    RobEntry &entryOf(SeqNum seq) { return rob_[robIndex(seq)]; }
-    const RobEntry &entryOf(SeqNum seq) const
+    /** The store-drain ring's index wrap, the same way. */
+    std::uint32_t
+    wrapDrain(std::uint32_t i) const
     {
-        return rob_[robIndex(seq)];
+        const auto size = static_cast<std::uint32_t>(storeDrain_.size());
+        return i >= size ? i - size : i;
     }
 
     /**
@@ -233,8 +251,8 @@ class Core
     void drainStores(Cycle now);
     void dispatchStage(Cycle now);
 
-    void markComplete(RobEntry &entry, Cycle now);
-    void issueLoad(RobEntry &entry, Cycle now, bool &portUsed);
+    void markComplete(RobEntry &entry);
+    void issueLoad(std::uint32_t slot, Cycle now, bool &accepted);
     CritLevel criticalityOf(const MicroOp &op) const;
 
     SystemConfig cfg_;
@@ -243,9 +261,13 @@ class Core
     MemHierarchy &mem_;
 
     std::vector<RobEntry> rob_;
-    SeqNum headSeq_ = 0;
+    std::uint32_t robSize_;
+    std::uint32_t headSlot_ = 0;
+    std::uint32_t tailSlot_ = 0; ///< slot the next dispatch fills
     SeqNum nextSeq_ = 0;
     std::uint32_t robCount_ = 0;
+    /** Every ROB entry's wakeup list (at most two links per entry). */
+    ListPool<std::uint32_t> wakeups_;
 
     std::uint32_t intIqCount_ = 0;
     std::uint32_t fpIqCount_ = 0;
@@ -253,16 +275,19 @@ class Core
     std::uint32_t sqCount_ = 0;
     std::uint32_t unresolvedBranches_ = 0;
 
-    /** Committed stores awaiting their dL1 write. */
-    std::queue<Addr> storeDrain_;
-    std::uint32_t storeDrainInFlight_ = 0;
-    /** Store addresses (8B-aligned) visible for forwarding. */
-    std::unordered_map<Addr, std::uint32_t> pendingStoreAddrs_;
+    /**
+     * Committed stores awaiting their dL1 write: a FIFO ring holding
+     * at most the store queue (a committed store keeps its SQ entry
+     * until its write completes).
+     */
+    std::vector<Addr> storeDrain_;
+    std::uint32_t drainHead_ = 0;
+    std::uint32_t drainCount_ = 0;
+    /** Store addresses (8B-aligned) visible for forwarding -> count. */
+    FlatTable<std::uint32_t> pendingStoreAddrs_;
 
     /** Non-memory completion times. */
-    std::priority_queue<std::pair<Cycle, SeqNum>,
-                        std::vector<std::pair<Cycle, SeqNum>>,
-                        std::greater<>> fuCompletions_;
+    CompletionRing fuCompletions_;
 
     std::vector<std::uint32_t> readyList_;
     /** issueStage()'s not-issued survivors; reused every cycle. */
@@ -275,9 +300,6 @@ class Core
     Addr fetchedBlock_ = kNoAddr;
     MicroOp pendingOp_;
     bool hasPendingOp_ = false;
-
-    /** Head-block tracking (the CBP counter logic of Fig. 2). */
-    SeqNum trackedHead_ = ~SeqNum{0};
 
     std::uint64_t quota_ = 0;
     std::uint64_t fetched_ = 0;

@@ -23,7 +23,10 @@ Cache::Cache(const CacheConfig &cfg, const std::string &name,
     : cfg_(cfg), numSets_(cfg.sets()),
       blockShift_(static_cast<std::uint32_t>(
           std::bit_width(cfg.blockBytes) - 1)),
-      lines_(static_cast<std::size_t>(numSets_) * cfg.ways),
+      tags_(static_cast<std::size_t>(numSets_) * cfg.ways, kInvalidTag),
+      lastUse_(tags_.size(), 0),
+      states_(tags_.size(), LineState::Invalid),
+      prefetched_(tags_.size(), 0),
       stats_(parent, name)
 {
     if (!std::has_single_bit(cfg.blockBytes))
@@ -32,38 +35,32 @@ Cache::Cache(const CacheConfig &cfg, const std::string &name,
         fatal("cache set count must be a nonzero power of two");
 }
 
-Cache::Line *
-Cache::find(Addr addr)
-{
-    const Addr tag = tagOf(addr);
-    Line *base = &lines_[static_cast<std::size_t>(setIndex(addr)) *
-                         cfg_.ways];
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (base[w].state != LineState::Invalid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const Cache::Line *
+std::size_t
 Cache::find(Addr addr) const
 {
-    return const_cast<Cache *>(this)->find(addr);
+    const Addr tag = tagOf(addr);
+    const std::size_t base = setBase(addr);
+    const Addr *tags = &tags_[base];
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+        if (tags[w] == tag)
+            return base + w;
+    }
+    return kNoLine;
 }
 
 LineState
 Cache::probe(Addr addr) const
 {
-    const Line *line = find(addr);
-    return line ? line->state : LineState::Invalid;
+    const std::size_t line = find(addr);
+    return line != kNoLine ? states_[line] : LineState::Invalid;
 }
 
 bool
 Cache::access(Addr addr)
 {
-    Line *line = find(addr);
-    if (line) {
-        line->lastUse = ++useCounter_;
+    const std::size_t line = find(addr);
+    if (line != kNoLine) {
+        lastUse_[line] = ++useCounter_;
         ++stats_.hits;
         return true;
     }
@@ -74,65 +71,71 @@ Cache::access(Addr addr)
 void
 Cache::setState(Addr addr, LineState state)
 {
-    if (Line *line = find(addr))
-        line->state = state;
+    const std::size_t line = find(addr);
+    if (line == kNoLine)
+        return;
+    states_[line] = state;
+    if (state == LineState::Invalid)
+        tags_[line] = kInvalidTag;
 }
 
 bool
 Cache::wasPrefetched(Addr addr) const
 {
-    const Line *line = find(addr);
-    return line && line->prefetched;
+    const std::size_t line = find(addr);
+    return line != kNoLine && prefetched_[line] != 0;
 }
 
 void
 Cache::clearPrefetched(Addr addr)
 {
-    if (Line *line = find(addr))
-        line->prefetched = false;
+    const std::size_t line = find(addr);
+    if (line != kNoLine)
+        prefetched_[line] = 0;
 }
 
 Cache::Victim
 Cache::insert(Addr addr, LineState state, bool prefetched)
 {
     Victim victim;
-    Line *dest = find(addr);
-    if (!dest) {
-        Line *base = &lines_[static_cast<std::size_t>(setIndex(addr)) *
-                             cfg_.ways];
+    std::size_t dest = find(addr);
+    if (dest == kNoLine) {
+        const std::size_t base = setBase(addr);
         dest = base;
         for (std::uint32_t w = 1; w < cfg_.ways; ++w) {
-            if (base[w].state == LineState::Invalid) {
-                dest = &base[w];
+            if (states_[base + w] == LineState::Invalid) {
+                dest = base + w;
                 break;
             }
-            if (dest->state != LineState::Invalid &&
-                base[w].lastUse < dest->lastUse) {
-                dest = &base[w];
+            if (states_[dest] != LineState::Invalid &&
+                lastUse_[base + w] < lastUse_[dest]) {
+                dest = base + w;
             }
         }
-        if (dest->state != LineState::Invalid) {
+        if (states_[dest] != LineState::Invalid) {
             victim.valid = true;
-            victim.addr = dest->tag << blockShift_;
-            victim.dirty = dest->state == LineState::Modified;
-            victim.prefetched = dest->prefetched;
+            victim.addr = tags_[dest] << blockShift_;
+            victim.dirty = states_[dest] == LineState::Modified;
+            victim.prefetched = prefetched_[dest] != 0;
             ++stats_.evictions;
             if (victim.dirty)
                 ++stats_.writebacks;
         }
     }
-    dest->tag = tagOf(addr);
-    dest->state = state;
-    dest->lastUse = ++useCounter_;
-    dest->prefetched = prefetched;
+    tags_[dest] = state == LineState::Invalid ? kInvalidTag : tagOf(addr);
+    states_[dest] = state;
+    lastUse_[dest] = ++useCounter_;
+    prefetched_[dest] = prefetched ? 1 : 0;
     return victim;
 }
 
 void
 Cache::invalidate(Addr addr)
 {
-    if (Line *line = find(addr)) {
-        line->state = LineState::Invalid;
+    const std::size_t line = find(addr);
+    if (line != kNoLine) {
+        states_[line] = LineState::Invalid;
+        tags_[line] = kInvalidTag;
         ++stats_.invalidations;
     }
 }

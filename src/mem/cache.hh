@@ -28,7 +28,10 @@ enum class LineState : std::uint8_t
     Modified,  ///< dirty
 };
 
-/** A set-associative cache array (tags + state only; no data). */
+/**
+ * A set-associative cache array (tags + state only; no data), stored
+ * structure-of-arrays so a set's tags are contiguous.
+ */
 class Cache
 {
   public:
@@ -95,16 +98,17 @@ class Cache
     Stats &cacheStats() { return stats_; }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        LineState state = LineState::Invalid;
-        std::uint64_t lastUse = 0;
-        bool prefetched = false;
-    };
+    /** Tag of an invalid way: no block address shifts to all-ones. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
 
-    Line *find(Addr addr);
-    const Line *find(Addr addr) const;
+    static constexpr std::size_t kNoLine = ~std::size_t{0};
+
+    /**
+     * Line index of @p addr's resident line, or kNoLine. Scans one
+     * set's contiguous tags; an invalid way holds kInvalidTag, so the
+     * scan never reads the state array.
+     */
+    std::size_t find(Addr addr) const;
 
     std::uint32_t
     setIndex(Addr addr) const
@@ -113,13 +117,24 @@ class Cache
             (numSets_ - 1);
     }
 
+    std::size_t
+    setBase(Addr addr) const
+    {
+        return static_cast<std::size_t>(setIndex(addr)) * cfg_.ways;
+    }
+
     Addr tagOf(Addr addr) const { return addr >> blockShift_; }
 
     CacheConfig cfg_;
     std::uint32_t numSets_;
     std::uint32_t blockShift_;
     std::uint64_t useCounter_ = 0;
-    std::vector<Line> lines_;
+    // Structure of arrays, one element per line (set-major, ways
+    // contiguous): 8 + 8 + 1 + 1 bytes per line.
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<LineState> states_;
+    std::vector<std::uint8_t> prefetched_;
     Stats stats_;
 };
 

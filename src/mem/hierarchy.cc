@@ -31,7 +31,17 @@ MemHierarchy::Stats::Stats(stats::Group &parent)
 MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
                            stats::Group &parent)
     : cfg_(cfg), dram_(dram), group_("hier", &parent),
-      iMshr_(cfg.numCores), dMshr_(cfg.numCores), stats_(group_)
+      sinks_(cfg.numCores, nullptr),
+      iMshr_(cfg.numCores, L1MshrTable(cfg.il1.mshrs)),
+      dMshr_(cfg.numCores, L1MshrTable(cfg.dl1.mshrs)),
+      l2Mshr_(cfg.l2.mshrs),
+      directory_(static_cast<std::size_t>(cfg.numCores) *
+                 (cfg.dl1.sizeBytes / cfg.dl1.blockBytes)),
+      // Every event is scheduled one cache latency ahead (a fill's
+      // return, l2.latency / 4 but at least 1, is the shortest).
+      events_(std::max({cfg.il1.latency, cfg.dl1.latency, cfg.l2.latency,
+                        1u})),
+      stats_(group_)
 {
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
         il1_.push_back(std::make_unique<Cache>(
@@ -47,25 +57,79 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
 }
 
 void
-MemHierarchy::schedule(Cycle at, std::function<void()> fn)
+MemHierarchy::attach(CoreId core, CompletionSink &sink)
 {
-    events_.push(Event{at, eventOrder_++, std::move(fn)});
+    sinks_.at(core) = &sink;
+}
+
+void
+MemHierarchy::scheduleDone(Cycle at, const Completion &done)
+{
+    Event event;
+    event.addr = done.addr;
+    event.core = done.core;
+    event.slot = done.slot;
+    event.kind = Event::Kind::Complete;
+    event.done = done.kind;
+    events_.schedule(at, event);
+}
+
+void
+MemHierarchy::scheduleL2(Cycle at, Event::Kind kind,
+                         const L2Waiter &waiter)
+{
+    Event event;
+    event.addr = waiter.l1Block;
+    event.core = waiter.core;
+    event.kind = kind;
+    event.isInst = waiter.isInst;
+    event.rfo = waiter.rfo;
+    events_.schedule(at, event);
+}
+
+void
+MemHierarchy::fire(const Event &event)
+{
+    switch (event.kind) {
+      case Event::Kind::Complete:
+        complete(Completion{event.addr, event.core, event.slot,
+                            event.done});
+        break;
+      case Event::Kind::L2Access:
+        l2Access(event.core, event.addr, event.isInst, event.rfo);
+        break;
+      case Event::Kind::Deliver:
+        deliverToL1(L2Waiter{event.addr, event.core, event.isInst,
+                             event.rfo});
+        break;
+    }
+}
+
+void
+MemHierarchy::complete(const Completion &done)
+{
+    CompletionSink *sink = sinks_[done.core];
+    if (!sink)
+        panic("completion for core ", done.core, " with no sink");
+    sink->complete(done);
 }
 
 bool
-MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, Done done)
+MemHierarchy::load(CoreId core, Addr addr, CritLevel crit,
+                   std::uint32_t slot)
 {
     ++stats_.loads;
+    const Completion done{addr, core, slot, Completion::Kind::Load};
     const Addr l1Block = dl1_[core]->blockAlign(addr);
     if (dl1_[core]->access(l1Block)) {
-        schedule(now_ + cfg_.dl1.latency, std::move(done));
+        scheduleDone(now_ + cfg_.dl1.latency, done);
         return true;
     }
     auto &mshr = dMshr_[core];
-    if (const auto it = mshr.find(l1Block); it != mshr.end()) {
-        it->second.waiters.push_back(std::move(done));
-        if (crit > it->second.crit) {
-            it->second.crit = crit;
+    if (L1Entry *entry = mshr.find(l1Block)) {
+        l1Waiters_.push(entry->waiters, done);
+        if (crit > entry->crit) {
+            entry->crit = crit;
             promote(core, addr, crit);
         }
         return true;
@@ -75,18 +139,18 @@ MemHierarchy::load(CoreId core, Addr addr, CritLevel crit, Done done)
         return false;
     }
     L1Entry &entry = mshr[l1Block];
-    entry.waiters.push_back(std::move(done));
+    l1Waiters_.push(entry.waiters, done);
     entry.crit = crit;
-    schedule(now_ + cfg_.dl1.latency, [this, core, l1Block] {
-        l2Access(core, l1Block, false, false);
-    });
+    scheduleL2(now_ + cfg_.dl1.latency, Event::Kind::L2Access,
+               L2Waiter{l1Block, core, false, false});
     return true;
 }
 
 bool
-MemHierarchy::store(CoreId core, Addr addr, Done done)
+MemHierarchy::store(CoreId core, Addr addr)
 {
     ++stats_.stores;
+    const Completion done{addr, core, 0, Completion::Kind::Store};
     const Addr l1Block = dl1_[core]->blockAlign(addr);
     const LineState state = dl1_[core]->probe(l1Block);
     if (state != LineState::Invalid) {
@@ -94,14 +158,14 @@ MemHierarchy::store(CoreId core, Addr addr, Done done)
         if (state == LineState::Shared)
             invalidateSharers(l1Block, core);
         dl1_[core]->setState(l1Block, LineState::Modified);
-        schedule(now_ + cfg_.dl1.latency, std::move(done));
+        scheduleDone(now_ + cfg_.dl1.latency, done);
         return true;
     }
     dl1_[core]->access(l1Block); // count the miss
     auto &mshr = dMshr_[core];
-    if (const auto it = mshr.find(l1Block); it != mshr.end()) {
-        it->second.waiters.push_back(std::move(done));
-        it->second.rfo = true;
+    if (L1Entry *entry = mshr.find(l1Block)) {
+        l1Waiters_.push(entry->waiters, done);
+        entry->rfo = true;
         return true;
     }
     if (mshr.size() >= cfg_.dl1.mshrs) {
@@ -109,11 +173,10 @@ MemHierarchy::store(CoreId core, Addr addr, Done done)
         return false;
     }
     L1Entry &entry = mshr[l1Block];
-    entry.waiters.push_back(std::move(done));
+    l1Waiters_.push(entry.waiters, done);
     entry.rfo = true;
-    schedule(now_ + cfg_.dl1.latency, [this, core, l1Block] {
-        l2Access(core, l1Block, false, true);
-    });
+    scheduleL2(now_ + cfg_.dl1.latency, Event::Kind::L2Access,
+               L2Waiter{l1Block, core, false, true});
     return true;
 }
 
@@ -129,38 +192,38 @@ MemHierarchy::fetchProbe(CoreId core, Addr pc)
 }
 
 bool
-MemHierarchy::fetch(CoreId core, Addr pc, Done done)
+MemHierarchy::fetch(CoreId core, Addr pc)
 {
     ++stats_.fetches;
+    const Completion done{pc, core, 0, Completion::Kind::Fetch};
     const Addr block = il1_[core]->blockAlign(pc);
     if (il1_[core]->access(block)) {
-        schedule(now_ + cfg_.il1.latency, std::move(done));
+        scheduleDone(now_ + cfg_.il1.latency, done);
         return true;
     }
     auto &mshr = iMshr_[core];
-    if (const auto it = mshr.find(block); it != mshr.end()) {
-        it->second.waiters.push_back(std::move(done));
+    if (L1Entry *entry = mshr.find(block)) {
+        l1Waiters_.push(entry->waiters, done);
         return true;
     }
     if (mshr.size() >= cfg_.il1.mshrs) {
         ++stats_.l1MshrFull;
         return false;
     }
-    mshr[block].waiters.push_back(std::move(done));
-    schedule(now_ + cfg_.il1.latency, [this, core, block] {
-        l2Access(core, block, true, false);
-    });
+    l1Waiters_.push(mshr[block].waiters, done);
+    scheduleL2(now_ + cfg_.il1.latency, Event::Kind::L2Access,
+               L2Waiter{block, core, true, false});
     return true;
 }
 
 CoreId
 MemHierarchy::modifiedOwner(Addr l1Block, CoreId except) const
 {
-    const auto it = directory_.find(l1Block);
-    if (it == directory_.end())
+    const std::uint32_t *sharers = directory_.find(l1Block);
+    if (!sharers)
         return kNoCore;
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        if (c != except && (it->second & (1u << c)) &&
+        if (c != except && (*sharers & (1u << c)) &&
             dl1_[c]->probe(l1Block) == LineState::Modified) {
             return c;
         }
@@ -171,11 +234,11 @@ MemHierarchy::modifiedOwner(Addr l1Block, CoreId except) const
 void
 MemHierarchy::invalidateSharers(Addr l1Block, CoreId except)
 {
-    const auto it = directory_.find(l1Block);
-    if (it == directory_.end())
+    std::uint32_t *sharers = directory_.find(l1Block);
+    if (!sharers)
         return;
     for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        if (c != except && (it->second & (1u << c))) {
+        if (c != except && (*sharers & (1u << c))) {
             // A modified copy's data lives on in the inclusive L2.
             if (dl1_[c]->probe(l1Block) == LineState::Modified)
                 l2_->setState(l2_->blockAlign(l1Block),
@@ -183,9 +246,9 @@ MemHierarchy::invalidateSharers(Addr l1Block, CoreId except)
             dl1_[c]->invalidate(l1Block);
         }
     }
-    it->second &= 1u << except;
-    if (it->second == 0)
-        directory_.erase(it);
+    *sharers &= 1u << except;
+    if (*sharers == 0)
+        directory_.erase(l1Block);
 }
 
 void
@@ -206,10 +269,8 @@ MemHierarchy::l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo)
                 dl1_[owner]->invalidate(l1Block);
             else
                 dl1_[owner]->setState(l1Block, LineState::Shared);
-            schedule(now_ + cfg_.l2.latency, [this, core, l1Block,
-                                              isInst] {
-                deliverToL1(L2Waiter{core, l1Block, isInst, false});
-            });
+            scheduleL2(now_ + cfg_.l2.latency, Event::Kind::Deliver,
+                       L2Waiter{l1Block, core, isInst, false});
             return;
         }
     }
@@ -221,9 +282,8 @@ MemHierarchy::l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo)
             if (prefetcher_)
                 prefetcher_->onUseful();
         }
-        schedule(now_ + cfg_.l2.latency, [this, core, l1Block, isInst] {
-            deliverToL1(L2Waiter{core, l1Block, isInst, false});
-        });
+        scheduleL2(now_ + cfg_.l2.latency, Event::Kind::Deliver,
+                   L2Waiter{l1Block, core, isInst, false});
         return;
     }
 
@@ -231,32 +291,32 @@ MemHierarchy::l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo)
     const CritLevel crit = [&]() -> CritLevel {
         if (isInst)
             return 0;
-        const auto it = dMshr_[core].find(l1Block);
-        return it != dMshr_[core].end() ? it->second.crit : 0;
+        const L1Entry *l1 = dMshr_[core].find(l1Block);
+        return l1 ? l1->crit : 0;
     }();
 
-    if (const auto it = l2Mshr_.find(l2Block); it != l2Mshr_.end()) {
-        L2Entry &entry = it->second;
-        entry.waiters.push_back(L2Waiter{core, l1Block, isInst, rfo});
-        if (!entry.demand) {
+    if (L2Entry *entry = l2Mshr_.find(l2Block)) {
+        l2Waiters_.push(entry->waiters,
+                        L2Waiter{l1Block, core, isInst, rfo});
+        if (!entry->demand) {
             // A prefetch in flight just turned into a demand miss.
-            entry.demand = true;
-            entry.started = now_;
+            entry->demand = true;
+            entry->started = now_;
         }
-        if (crit > entry.crit) {
-            entry.crit = crit;
-            dram_.promote(l2Block, entry.firstCore, crit);
+        if (crit > entry->crit) {
+            entry->crit = crit;
+            dram_.promote(l2Block, entry->firstCore, crit);
         }
         return;
     }
     if (l2Mshr_.size() >= cfg_.l2.mshrs) {
         ++stats_.l2MshrFull;
-        l2MshrRetry_.push_back(L2Waiter{core, l1Block, isInst, rfo});
+        l2MshrRetry_.push_back(L2Waiter{l1Block, core, isInst, rfo});
         return;
     }
 
     L2Entry &entry = l2Mshr_[l2Block];
-    entry.waiters.push_back(L2Waiter{core, l1Block, isInst, rfo});
+    l2Waiters_.push(entry.waiters, L2Waiter{l1Block, core, isInst, rfo});
     entry.demand = true;
     entry.started = now_;
     entry.firstCore = core;
@@ -339,16 +399,15 @@ MemHierarchy::evictFromL2(const Cache::Victim &victim)
     // modified L1 copy folds into the writeback.
     for (Addr sub = victim.addr; sub < victim.addr + cfg_.l2.blockBytes;
          sub += cfg_.dl1.blockBytes) {
-        const auto it = directory_.find(sub);
-        if (it != directory_.end()) {
+        if (const std::uint32_t *sharers = directory_.find(sub)) {
             for (CoreId c = 0; c < cfg_.numCores; ++c) {
-                if (it->second & (1u << c)) {
+                if (*sharers & (1u << c)) {
                     if (dl1_[c]->probe(sub) == LineState::Modified)
                         dirty = true;
                     dl1_[c]->invalidate(sub);
                 }
             }
-            directory_.erase(it);
+            directory_.erase(sub);
         }
         for (CoreId c = 0; c < cfg_.numCores; ++c)
             il1_[c]->invalidate(sub);
@@ -360,11 +419,11 @@ MemHierarchy::evictFromL2(const Cache::Victim &victim)
 void
 MemHierarchy::l2Fill(Addr l2Block)
 {
-    const auto it = l2Mshr_.find(l2Block);
-    if (it == l2Mshr_.end())
+    const L2Entry *found = l2Mshr_.find(l2Block);
+    if (!found)
         panic("DRAM fill for unknown L2 MSHR block");
-    L2Entry entry = std::move(it->second);
-    l2Mshr_.erase(it);
+    L2Entry entry = *found;
+    l2Mshr_.erase(l2Block);
 
     if (entry.demand) {
         auto &stat = entry.crit > 0 ? stats_.l2MissLatCrit
@@ -378,11 +437,12 @@ MemHierarchy::l2Fill(Addr l2Block)
         evictFromL2(victim);
 
     const Cycle returnLat = std::max<Cycle>(cfg_.l2.latency / 4, 1);
-    for (const L2Waiter &waiter : entry.waiters) {
-        schedule(now_ + returnLat, [this, waiter] {
-            deliverToL1(waiter);
-        });
+    for (std::uint32_t n = entry.waiters.head; n != l2Waiters_.kNil;
+         n = l2Waiters_.next(n)) {
+        scheduleL2(now_ + returnLat, Event::Kind::Deliver,
+                   l2Waiters_.value(n));
     }
+    l2Waiters_.release(entry.waiters);
 }
 
 void
@@ -390,11 +450,11 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
 {
     auto &mshr =
         waiter.isInst ? iMshr_[waiter.core] : dMshr_[waiter.core];
-    const auto it = mshr.find(waiter.l1Block);
-    if (it == mshr.end())
+    const L1Entry *found = mshr.find(waiter.l1Block);
+    if (!found)
         return; // already satisfied (e.g. duplicate delivery)
-    L1Entry entry = std::move(it->second);
-    mshr.erase(it);
+    L1Entry entry = *found;
+    mshr.erase(waiter.l1Block);
 
     if (waiter.isInst) {
         il1_[waiter.core]->insert(waiter.l1Block, LineState::Shared);
@@ -402,10 +462,9 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
         if (entry.rfo)
             invalidateSharers(waiter.l1Block, waiter.core);
         bool sharedElsewhere = false;
-        if (const auto dit = directory_.find(waiter.l1Block);
-            dit != directory_.end()) {
-            sharedElsewhere =
-                (dit->second & ~(1u << waiter.core)) != 0;
+        if (const std::uint32_t *sharers =
+                directory_.find(waiter.l1Block)) {
+            sharedElsewhere = (*sharers & ~(1u << waiter.core)) != 0;
         }
         const LineState state = entry.rfo
             ? LineState::Modified
@@ -424,11 +483,10 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
         const Cache::Victim victim =
             dl1_[waiter.core]->insert(waiter.l1Block, state);
         if (victim.valid) {
-            if (const auto dit = directory_.find(victim.addr);
-                dit != directory_.end()) {
-                dit->second &= ~(1u << waiter.core);
-                if (dit->second == 0)
-                    directory_.erase(dit);
+            if (std::uint32_t *sharers = directory_.find(victim.addr)) {
+                *sharers &= ~(1u << waiter.core);
+                if (*sharers == 0)
+                    directory_.erase(victim.addr);
             }
             if (victim.dirty) {
                 l2_->setState(l2_->blockAlign(victim.addr),
@@ -438,20 +496,26 @@ MemHierarchy::deliverToL1(const L2Waiter &waiter)
         directory_[waiter.l1Block] |= 1u << waiter.core;
     }
 
-    for (Done &done : entry.waiters)
-        done();
+    // The sink may issue new accesses, so read each node before the
+    // call and release the list only after the last one.
+    for (std::uint32_t n = entry.waiters.head; n != l1Waiters_.kNil;
+         n = l1Waiters_.next(n)) {
+        const Completion done = l1Waiters_.value(n);
+        complete(done);
+    }
+    l1Waiters_.release(entry.waiters);
 }
 
 void
 MemHierarchy::promote(CoreId core, Addr addr, CritLevel crit)
 {
     const Addr l2Block = l2_->blockAlign(addr);
-    const auto it = l2Mshr_.find(l2Block);
-    if (it == l2Mshr_.end())
+    L2Entry *entry = l2Mshr_.find(l2Block);
+    if (!entry)
         return;
-    if (crit > it->second.crit) {
-        it->second.crit = crit;
-        dram_.promote(l2Block, it->second.firstCore, crit);
+    if (crit > entry->crit) {
+        entry->crit = crit;
+        dram_.promote(l2Block, entry->firstCore, crit);
     }
     (void)core;
 }
@@ -480,20 +544,19 @@ MemHierarchy::nextEventCycle(Cycle now) const
     if (!l2MshrRetry_.empty() || !dramRetry_.empty() ||
         !writebackRetry_.empty())
         return now + 1;
-    if (events_.empty())
+    const Cycle next = events_.nextCycle();
+    if (next == kNoCycle)
         return kNoCycle;
-    return std::max(events_.top().at, now + 1);
+    return std::max(next, now + 1);
 }
 
 void
 MemHierarchy::tick(Cycle now)
 {
     now_ = now;
-    while (!events_.empty() && events_.top().at <= now) {
-        auto fn = std::move(const_cast<Event &>(events_.top()).fn);
-        events_.pop();
-        fn();
-    }
+    Event event;
+    while (events_.popDue(now, event))
+        fire(event);
 
     // The retry lists swap into persistent scratch buffers instead of
     // per-tick locals so the steady state never touches the heap (the
@@ -509,9 +572,9 @@ MemHierarchy::tick(Cycle now)
         dramRetryScratch_.clear();
         dramRetryScratch_.swap(dramRetry_);
         for (const Addr block : dramRetryScratch_) {
-            const auto it = l2Mshr_.find(block);
-            if (it != l2Mshr_.end() && !it->second.sentToDram)
-                sendToDram(block, it->second);
+            L2Entry *entry = l2Mshr_.find(block);
+            if (entry && !entry->sentToDram)
+                sendToDram(block, *entry);
         }
     }
     if (!writebackRetry_.empty()) {

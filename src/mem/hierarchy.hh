@@ -16,10 +16,7 @@
 #define CRITMEM_MEM_HIERARCHY_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/dram.hh"
@@ -27,14 +24,43 @@
 #include "mem/prefetcher.hh"
 #include "mem/request.hh"
 #include "sim/config.hh"
+#include "sim/flat_table.hh"
 #include "sim/stats.hh"
+#include "sim/timing_wheel.hh"
 #include "sim/types.hh"
 
 namespace critmem
 {
 
-/** Completion callback for a core-side access. */
-using Done = std::function<void()>;
+/**
+ * The record a finished core-side access hands back to its core: what
+ * finished and which core it belongs to, plus the load's ROB slot or
+ * the address the store or fetch was issued with.
+ */
+struct Completion
+{
+    enum class Kind : std::uint8_t
+    {
+        Load,
+        Store,
+        Fetch,
+    };
+
+    Addr addr = 0;           ///< store/fetch: the issued address
+    CoreId core = 0;
+    std::uint32_t slot = 0;  ///< load: the issuing ROB slot
+    Kind kind = Kind::Load;
+};
+
+/** Receives one core's completions (the Core itself, or a test). */
+class CompletionSink
+{
+  public:
+    virtual void complete(const Completion &done) = 0;
+
+  protected:
+    ~CompletionSink() = default;
+};
 
 /** Caches + directory + prefetcher + DRAM connection. */
 class MemHierarchy
@@ -44,17 +70,30 @@ class MemHierarchy
                  stats::Group &parent);
 
     /**
-     * Issue a data load.
+     * Route @p core's completions to @p sink, which must outlive the
+     * hierarchy's use of that core. Every core that issues accesses
+     * needs a sink.
+     */
+    void attach(CoreId core, CompletionSink &sink);
+
+    /**
+     * Issue a data load; completes as Completion{Load, @p slot}.
      * @param crit Criticality magnitude to piggyback on an L2 miss.
      * @return false when the dL1 MSHR file is full (retry next cycle).
      */
-    bool load(CoreId core, Addr addr, CritLevel crit, Done done);
+    bool load(CoreId core, Addr addr, CritLevel crit, std::uint32_t slot);
 
-    /** Issue a committed store (write-allocate, write-back). */
-    bool store(CoreId core, Addr addr, Done done);
+    /**
+     * Issue a committed store (write-allocate, write-back); completes
+     * as Completion{Store, @p addr}.
+     */
+    bool store(CoreId core, Addr addr);
 
-    /** Issue an instruction fetch for the block holding @p pc. */
-    bool fetch(CoreId core, Addr pc, Done done);
+    /**
+     * Issue an instruction fetch for the block holding @p pc;
+     * completes as Completion{Fetch, @p pc}.
+     */
+    bool fetch(CoreId core, Addr pc);
 
     /**
      * Pipelined-fetch fast path: probe the iL1 for @p pc's block,
@@ -117,19 +156,19 @@ class MemHierarchy
     /** A miss outstanding at L1 level (one per core x block). */
     struct L1Entry
     {
-        std::vector<Done> waiters;
+        ListPool<Completion>::List waiters;
         CritLevel crit = 0;
         bool rfo = false; ///< a store needs exclusive ownership
     };
 
-    /** Key for per-core L1 MSHR maps: the L1-aligned block address. */
-    using L1MshrMap = std::unordered_map<Addr, L1Entry>;
+    /** Per-core L1 MSHRs, keyed by the L1-aligned block address. */
+    using L1MshrTable = FlatTable<L1Entry>;
 
     /** Identifies one L1 MSHR entry waiting on an L2 fill. */
     struct L2Waiter
     {
-        CoreId core = 0;
         Addr l1Block = 0;
+        CoreId core = 0;
         bool isInst = false;
         bool rfo = false;
     };
@@ -137,7 +176,7 @@ class MemHierarchy
     /** A miss outstanding at L2 level (one per L2 block). */
     struct L2Entry
     {
-        std::vector<L2Waiter> waiters;
+        ListPool<L2Waiter>::List waiters;
         CritLevel crit = 0;
         bool demand = false;
         bool sentToDram = false;
@@ -145,7 +184,34 @@ class MemHierarchy
         CoreId firstCore = 0;
     };
 
-    void schedule(Cycle at, std::function<void()> fn);
+    /**
+     * One scheduled hierarchy action: a finished access to hand back
+     * (Complete), an L1 miss reaching the L2 (L2Access), or an L2
+     * response reaching an L1 (Deliver). Complete carries the
+     * Completion's fields; the others carry an L2Waiter's.
+     */
+    struct Event
+    {
+        enum class Kind : std::uint8_t
+        {
+            Complete,
+            L2Access,
+            Deliver,
+        };
+
+        Addr addr = 0; ///< Complete: the issued address; else l1Block
+        CoreId core = 0;
+        std::uint32_t slot = 0; ///< Complete: the load's ROB slot
+        Kind kind = Kind::Complete;
+        Completion::Kind done = Completion::Kind::Load; ///< Complete
+        bool isInst = false;    ///< L2Access, Deliver
+        bool rfo = false;       ///< L2Access, Deliver
+    };
+
+    void scheduleDone(Cycle at, const Completion &done);
+    void scheduleL2(Cycle at, Event::Kind kind, const L2Waiter &waiter);
+    void fire(const Event &event);
+    void complete(const Completion &done);
     void l2Access(CoreId core, Addr l1Block, bool isInst, bool rfo);
     void l2Fill(Addr l2Block);
     void deliverToL1(const L2Waiter &waiter);
@@ -157,19 +223,6 @@ class MemHierarchy
     /** @return core holding @p l1Block modified, or kNoCore. */
     CoreId modifiedOwner(Addr l1Block, CoreId except) const;
 
-    struct Event
-    {
-        Cycle at;
-        std::uint64_t order;
-        std::function<void()> fn;
-
-        bool
-        operator>(const Event &other) const
-        {
-            return at != other.at ? at > other.at : order > other.order;
-        }
-    };
-
     SystemConfig cfg_;
     DramSystem &dram_;
     stats::Group group_;
@@ -179,12 +232,17 @@ class MemHierarchy
     std::unique_ptr<Cache> l2_;
     std::unique_ptr<StreamPrefetcher> prefetcher_;
 
-    std::vector<L1MshrMap> iMshr_;
-    std::vector<L1MshrMap> dMshr_;
-    std::unordered_map<Addr, L2Entry> l2Mshr_;
+    std::vector<CompletionSink *> sinks_;
+
+    std::vector<L1MshrTable> iMshr_;
+    std::vector<L1MshrTable> dMshr_;
+    FlatTable<L2Entry> l2Mshr_;
+    /** Waiters of every L1 and L2 MSHR entry, recycled. */
+    ListPool<Completion> l1Waiters_;
+    ListPool<L2Waiter> l2Waiters_;
 
     /** dL1-block address -> bitmask of cores with a copy. */
-    std::unordered_map<Addr, std::uint32_t> directory_;
+    FlatTable<std::uint32_t> directory_;
 
     /** (core, l1Block, isInst, rfo) waiting for an L2 MSHR slot. */
     std::vector<L2Waiter> l2MshrRetry_;
@@ -202,11 +260,9 @@ class MemHierarchy
     std::vector<Addr> dramRetryScratch_;
     std::vector<MemRequest> wbRetryScratch_;
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>>
-        events_;
-    std::uint64_t eventOrder_ = 0;
+    /** Pending events, popped in (cycle, schedule order) order. */
+    TimingWheel<Event> events_;
     Cycle now_ = 0;
-    std::uint64_t inFlight_ = 0;
     std::vector<Addr> prefetchScratch_;
 
     Stats stats_;

@@ -25,6 +25,7 @@
 #include "exec/result_sink.hh"
 #include "exec/sweep.hh"
 #include "sim/atomic_file.hh"
+#include "temp_path.hh"
 
 using namespace critmem;
 
@@ -40,11 +41,7 @@ class CampaignTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = fs::temp_directory_path() /
-            ("critmem_campaign_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
+        dir_ = test::uniqueTempPath("campaign_test");
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

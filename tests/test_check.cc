@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "check/diagnostics.hh"
 #include "check/fault_injector.hh"
 #include "check/protocol_checker.hh"
 #include "dram/dram.hh"
@@ -282,6 +283,65 @@ TEST(CheckWatchdog, StalledChannelThrowsWithDiagnostics)
     const std::string &msg = checker.violations().front().message;
     EXPECT_NE(msg.find("idle"), std::string::npos) << msg;
     EXPECT_NE(msg.find("core 5"), std::string::npos) << msg;
+}
+
+TEST(CheckDiagnostics, RequestsWithoutACoreAreNamedByKind)
+{
+    EXPECT_EQ(requestOrigin(ReqType::Read, 3), "core 3");
+    EXPECT_EQ(requestOrigin(ReqType::Write, kNoCore), "writeback");
+    EXPECT_EQ(requestOrigin(ReqType::Prefetch, 0), "prefetch");
+
+    stats::Group root;
+    DramConfig cfg = DramConfig::preset(DramSpeed::DDR3_2133);
+    cfg.channels = 1;
+    cfg.ranksPerChannel = 1;
+    cfg.watchdogCycles = 100;
+
+    IdleScheduler sched;
+    DramSystem dram(cfg, sched, root);
+    CheckConfig check;
+    check.enabled = true;
+    check.failFast = false;
+    ProtocolChecker checker(check, cfg);
+    checker.attach(dram);
+
+    MemRequest wb;
+    wb.addr = 0xbeef00;
+    wb.type = ReqType::Write;
+    wb.core = kNoCore;
+    ASSERT_TRUE(dram.enqueue(std::move(wb)));
+    MemRequest pf;
+    pf.addr = 0xcafe00;
+    pf.type = ReqType::Prefetch;
+    ASSERT_TRUE(dram.enqueue(std::move(pf)));
+
+    DramCycle now = 0;
+    EXPECT_THROW(
+        {
+            for (int i = 0; i < 1000; ++i)
+                dram.tick(++now);
+        },
+        CheckViolation);
+    checker.finalize(/*requireDrained=*/true);
+
+    ASSERT_TRUE(checker.hasRule(RuleId::Watchdog));
+    ASSERT_TRUE(checker.hasRule(RuleId::LostRequest));
+    for (const Violation &v : checker.violations()) {
+        EXPECT_EQ(v.message.find(std::to_string(kNoCore)),
+                  std::string::npos)
+            << v.message;
+        if (v.rule == RuleId::Watchdog) {
+            EXPECT_NE(v.message.find("writeback"), std::string::npos)
+                << v.message;
+            EXPECT_NE(v.message.find("prefetch"), std::string::npos)
+                << v.message;
+        }
+        if (v.rule == RuleId::LostRequest) {
+            EXPECT_NE(v.message.find("from writeback"),
+                      std::string::npos)
+                << v.message;
+        }
+    }
 }
 
 TEST(CheckWatchdog, HonestChannelNeverTrips)

@@ -13,6 +13,7 @@
 #include "sched/frfcfs.hh"
 #include "sched/minimalist.hh"
 #include "system/experiment.hh"
+#include "temp_path.hh"
 #include "trace/trace_file.hh"
 #include "trace/workloads.hh"
 
@@ -161,8 +162,7 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = std::filesystem::temp_directory_path() /
-            "critmem_trace_test.bin";
+        path_ = test::uniqueTempPath("trace_test", ".bin");
     }
 
     void TearDown() override { std::filesystem::remove(path_); }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "mem/hierarchy.hh"
 #include "sched/frfcfs.hh"
@@ -12,7 +13,12 @@ using namespace critmem;
 namespace
 {
 
-class HierarchyTest : public ::testing::Test
+/**
+ * The fixture is every core's completion sink: a load's ROB slot
+ * indexes the handle that records its completion cycle, and store and
+ * fetch completions are logged with their address.
+ */
+class HierarchyTest : public ::testing::Test, public CompletionSink
 {
   protected:
     void
@@ -21,6 +27,17 @@ class HierarchyTest : public ::testing::Test
         cfg_ = cfg;
         dram_ = std::make_unique<DramSystem>(cfg_.dram, sched_, root_);
         hier_ = std::make_unique<MemHierarchy>(cfg_, *dram_, root_);
+        for (CoreId c = 0; c < cfg_.numCores; ++c)
+            hier_->attach(c, *this);
+    }
+
+    void
+    complete(const Completion &done) override
+    {
+        if (done.kind == Completion::Kind::Load)
+            *loads_.at(done.slot) = now_;
+        else
+            finished_.push_back(done);
     }
 
     /** Advance the CPU clock, crossing to DRAM every 4th cycle. */
@@ -35,16 +52,48 @@ class HierarchyTest : public ::testing::Test
         }
     }
 
+    /** Issue a load; @return whether the hierarchy accepted it. */
+    bool
+    tryLoad(CoreId core, Addr addr, CritLevel crit = 0)
+    {
+        loads_.push_back(std::make_shared<Cycle>(kNoCycle));
+        const auto slot = static_cast<std::uint32_t>(loads_.size() - 1);
+        return hier_->load(core, addr, crit, slot);
+    }
+
     /** Issue a load; the returned handle records completion time. */
     std::shared_ptr<Cycle>
     load(CoreId core, Addr addr, CritLevel crit = 0)
     {
-        auto done = std::make_shared<Cycle>(kNoCycle);
-        EXPECT_TRUE(hier_->load(core, addr, crit,
-                                [this, done] { *done = now_; }));
-        return done;
+        EXPECT_TRUE(tryLoad(core, addr, crit));
+        return loads_.back();
     }
 
+    /** @return true once a store or fetch of @p addr completed. */
+    bool
+    finished(Completion::Kind kind, CoreId core, Addr addr) const
+    {
+        for (const Completion &done : finished_) {
+            if (done.kind == kind && done.core == core && done.addr == addr)
+                return true;
+        }
+        return false;
+    }
+
+    bool
+    stored(CoreId core, Addr addr) const
+    {
+        return finished(Completion::Kind::Store, core, addr);
+    }
+
+    bool
+    fetched(CoreId core, Addr pc) const
+    {
+        return finished(Completion::Kind::Fetch, core, pc);
+    }
+
+    std::vector<std::shared_ptr<Cycle>> loads_;
+    std::vector<Completion> finished_;
     stats::Group root_;
     FrFcfsScheduler sched_;
     SystemConfig cfg_;
@@ -124,19 +173,18 @@ TEST_F(HierarchyTest, L1MshrCapacityRejects)
     SystemConfig cfg = SystemConfig::parallelDefault();
     cfg.dl1.mshrs = 2;
     build(cfg);
-    EXPECT_TRUE(hier_->load(0, 0x10000, 0, [] {}));
-    EXPECT_TRUE(hier_->load(0, 0x20000, 0, [] {}));
-    EXPECT_FALSE(hier_->load(0, 0x30000, 0, [] {}));
+    EXPECT_TRUE(tryLoad(0, 0x10000));
+    EXPECT_TRUE(tryLoad(0, 0x20000));
+    EXPECT_FALSE(tryLoad(0, 0x30000));
     EXPECT_EQ(hier_->memStats().l1MshrFull.value(), 1u);
 }
 
 TEST_F(HierarchyTest, StoreMakesLineModified)
 {
     build();
-    bool done = false;
-    EXPECT_TRUE(hier_->store(0, 0x6000, [&done] { done = true; }));
+    EXPECT_TRUE(hier_->store(0, 0x6000));
     tick(1000);
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(stored(0, 0x6000));
     EXPECT_EQ(hier_->dl1(0).probe(0x6000), LineState::Modified);
 }
 
@@ -149,10 +197,9 @@ TEST_F(HierarchyTest, StoreInvalidatesOtherSharers)
     tick(1000);
     // Both cores share the line now.
     EXPECT_EQ(hier_->dl1(0).probe(0x7000), LineState::Shared);
-    bool done = false;
-    hier_->store(1, 0x7000, [&done] { done = true; });
+    hier_->store(1, 0x7000);
     tick(100);
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(stored(1, 0x7000));
     EXPECT_EQ(hier_->dl1(0).probe(0x7000), LineState::Invalid);
     EXPECT_EQ(hier_->dl1(1).probe(0x7000), LineState::Modified);
 }
@@ -160,10 +207,9 @@ TEST_F(HierarchyTest, StoreInvalidatesOtherSharers)
 TEST_F(HierarchyTest, DirtyTransferServedByOwner)
 {
     build();
-    bool stored = false;
-    hier_->store(0, 0x8000, [&stored] { stored = true; });
+    hier_->store(0, 0x8000);
     tick(1000);
-    ASSERT_TRUE(stored);
+    ASSERT_TRUE(stored(0, 0x8000));
     ASSERT_EQ(hier_->dl1(0).probe(0x8000), LineState::Modified);
     const auto done = load(1, 0x8000);
     tick(200);
@@ -191,10 +237,9 @@ TEST_F(HierarchyTest, FetchPathFillsIl1)
 {
     build();
     EXPECT_FALSE(hier_->fetchProbe(0, 0x400000));
-    bool done = false;
-    EXPECT_TRUE(hier_->fetch(0, 0x400000, [&done] { done = true; }));
+    EXPECT_TRUE(hier_->fetch(0, 0x400000));
     tick(1000);
-    EXPECT_TRUE(done);
+    EXPECT_TRUE(fetched(0, 0x400000));
     EXPECT_TRUE(hier_->fetchProbe(0, 0x400000));
 }
 
@@ -264,10 +309,9 @@ TEST_F(HierarchyTest, DirtyL2EvictionWritesBack)
     build(cfg);
     const std::uint32_t sets = cfg.l2.sets();
     const Addr stride = static_cast<Addr>(sets) * cfg.l2.blockBytes;
-    bool stored = false;
-    hier_->store(0, 0, [&stored] { stored = true; });
+    hier_->store(0, 0);
     tick(1500);
-    ASSERT_TRUE(stored);
+    ASSERT_TRUE(stored(0, 0));
     for (std::uint32_t i = 1; i <= cfg.l2.ways + 1; ++i) {
         load(0, stride * i);
         tick(1500);
@@ -319,8 +363,9 @@ TEST_F(HierarchyTest, InstructionAndDataMshrsIndependent)
     cfg.dl1.mshrs = 1;
     build(cfg);
     // Exhaust the single data MSHR; a fetch must still be accepted.
-    EXPECT_TRUE(hier_->load(0, 0x30000, 0, [] {}));
-    EXPECT_FALSE(hier_->load(0, 0x40000, 0, [] {}));
-    EXPECT_TRUE(hier_->fetch(0, 0x400000, [] {}));
+    EXPECT_TRUE(tryLoad(0, 0x30000));
+    EXPECT_FALSE(tryLoad(0, 0x40000));
+    EXPECT_TRUE(hier_->fetch(0, 0x400000));
     tick(2000);
+    EXPECT_TRUE(fetched(0, 0x400000));
 }

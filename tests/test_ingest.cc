@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +27,7 @@
 #include "exec/sweep.hh"
 #include "sim/stats.hh"
 #include "system/experiment.hh"
+#include "temp_path.hh"
 #include "trace/ingest/ingest.hh"
 #include "trace/workloads.hh"
 
@@ -43,11 +42,7 @@ class IngestTest : public ::testing::Test
     void
     SetUp() override
     {
-        // Per-process dir: ctest -jN runs each test in its own
-        // process, and a shared path would race TearDown's
-        // remove_all against a sibling's file creation.
-        dir_ = std::filesystem::temp_directory_path() /
-            ("critmem_ingest_test." + std::to_string(::getpid()));
+        dir_ = test::uniqueTempPath("ingest_test");
         std::filesystem::create_directories(dir_);
         clearTraceWorkloads();
     }

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "temp_path.hh"
 #include "trace/trace_file.hh"
 
 using namespace critmem;
@@ -27,8 +28,7 @@ class TraceErrorTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = std::filesystem::temp_directory_path() /
-            "critmem_trace_error_test.bin";
+        path_ = test::uniqueTempPath("trace_error_test", ".bin");
     }
 
     void TearDown() override { std::filesystem::remove(path_); }
