@@ -65,10 +65,11 @@ DramChannel::enqueue(MemRequest req, const DramCoord &coord,
             observer_->onReject(id_, req, now);
         return false;
     }
-    sched_.onEnqueue(id_, req, coord, now);
+    const DramCycle arrival = now + 1;
+    sched_.onEnqueue(id_, req, coord, arrival);
     if (observer_)
         observer_->onEnqueue(id_, req, coord, now);
-    queue.push_back(Transaction{std::move(req), coord, now});
+    queue.push_back(Transaction{std::move(req), coord, arrival});
     return true;
 }
 

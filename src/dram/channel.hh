@@ -104,7 +104,12 @@ class DramChannel
                 Scheduler &sched, stats::Group &parent);
 
     /**
-     * Try to append a transaction.
+     * Try to append a transaction. @p now is the DRAM clock: the last
+     * ticked cycle, which is the current one when the request comes
+     * from a completion callback inside tick(now). The scheduler and
+     * the queue stamp the request as arriving at now + 1; observers
+     * see @p now, so a request is never younger than the clock of
+     * the commands that follow it.
      * @return false when the appropriate queue is full.
      */
     bool enqueue(MemRequest req, const DramCoord &coord, DramCycle now);

@@ -22,7 +22,7 @@ DramSystem::enqueue(MemRequest req)
     const DramCoord coord = map_.decode(req.addr);
     req.id = nextId_++;
     return channels_[coord.channel]->enqueue(std::move(req), coord,
-                                             lastNow_ + 1);
+                                             lastNow_);
 }
 
 void

@@ -34,9 +34,10 @@ class DramSystem
                stats::Group &parent);
 
     /**
-     * Decode and enqueue a transaction. Arrival is stamped with the
-     * DRAM subsystem's own clock (the last ticked cycle), keeping
-     * queue ages monotonic regardless of the caller's clock domain.
+     * Decode and enqueue a transaction. Arrival is stamped from the
+     * DRAM subsystem's own clock (the cycle after the last ticked
+     * one), keeping queue ages monotonic regardless of the caller's
+     * clock domain.
      * @return false when the destination queue is full (caller
      *         retries; the L2 MSHR keeps the request alive).
      */

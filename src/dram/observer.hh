@@ -80,7 +80,11 @@ class ChannelObserver
   public:
     virtual ~ChannelObserver() = default;
 
-    /** A transaction was accepted into @p channel's queue. */
+    /**
+     * A transaction was accepted into @p channel's queue. @p now is
+     * the DRAM clock at the enqueue (the last ticked cycle), not the
+     * next-cycle arrival stamp the scheduler sees.
+     */
     virtual void
     onEnqueue(std::uint32_t channel, const MemRequest &req,
               const DramCoord &coord, DramCycle now)

@@ -244,6 +244,49 @@ TEST(CheckClean, RefreshSurvivesFullQueuesAcrossDeadline)
         h.dram_->channel(0).channelStats().refreshes.value(), 4u);
 }
 
+TEST(CheckClean, RequestEnqueuedDuringATickIsNotStarved)
+{
+    // A read that completes inside DramSystem::tick(now) enqueues the
+    // next one from its callback, as an L2 fill does with the
+    // writeback it evicts. A command issued later in the same tick
+    // scans for starvation at `now`; the new request's checker stamp
+    // must not be ahead of that clock, or now - enqueued underflows.
+    CheckConfig check;
+    check.enabled = true;
+    check.failFast = false;
+    check.starvationCycles = 400; // scan every 100 cycles
+    CheckHarness h(SchedAlgo::FrFcfs, check);
+
+    constexpr std::uint64_t kFollowUps = 4000;
+    std::uint64_t followUps = 0;
+    std::function<void(const MemRequest &)> chain;
+    auto issue = [&h, &chain] {
+        MemRequest req;
+        req.addr = (h.rnd() % (1u << 22)) & ~Addr{63};
+        req.type = ReqType::Read;
+        req.core = 0;
+        req.onComplete = chain;
+        ASSERT_TRUE(h.dram_->enqueue(std::move(req)));
+    };
+    chain = [&](const MemRequest &) {
+        if (followUps < kFollowUps) {
+            ++followUps;
+            issue();
+        }
+    };
+    for (int i = 0; i < 8; ++i)
+        issue();
+    for (DramCycle i = 0; i < 400000 && !h.dram_->idle(); ++i)
+        h.dram_->tick(++h.now_);
+
+    EXPECT_EQ(followUps, kFollowUps);
+    h.checker_->finalize(/*requireDrained=*/true);
+    EXPECT_FALSE(h.checker_->hasRule(RuleId::Starvation))
+        << h.checker_->report();
+    EXPECT_EQ(h.checker_->totalViolations(), 0u)
+        << h.checker_->report();
+}
+
 // ---------------------------------------------------------------------
 // Forward-progress watchdog.
 // ---------------------------------------------------------------------

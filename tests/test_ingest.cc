@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -370,6 +369,19 @@ TEST_F(IngestTest, BinaryRoundTrip)
     EXPECT_EQ(rec.core, 1u);
     EXPECT_EQ(rec.op.cls, OpClass::Branch);
     EXPECT_FALSE(decoder.next(rec));
+
+    // The flags byte and both dependence distances survive too.
+    std::string flagged = binRecord(0, 6, 0x408, 0);
+    flagged[2 + 3] = 1;             // mispredict
+    flagged[2 + 20] = 7;            // dep1 = 7
+    flagged[2 + 22] = static_cast<char>(999 & 0xff); // dep2 = 999
+    flagged[2 + 23] = static_cast<char>(999 >> 8);
+    ingest::TraceDecoder more(
+        spill("flags.cbin", binHeader(1) + flagged), {});
+    ASSERT_TRUE(more.next(rec));
+    EXPECT_TRUE(rec.op.mispredict);
+    EXPECT_EQ(rec.op.dep1, 7u);
+    EXPECT_EQ(rec.op.dep2, 999u);
 }
 
 TEST_F(IngestTest, BinaryHeaderGoldens)
@@ -483,15 +495,10 @@ TEST_F(IngestTest, AutoDetectGoldens)
     EXPECT_EQ(mustThrow(spill("x.trace", "hello world\n"))
                   .byteOffset(),
               0u);
-    // Legacy CTMT replay traces are recognized and redirected.
-    std::string ctmt;
-    const std::uint32_t magic = 0x43544d54;
-    ctmt.resize(4);
-    std::memcpy(ctmt.data(), &magic, 4);
-    ctmt += std::string(12, '\0');
-    const TraceError err = mustThrow(spill("y.bin", ctmt));
+    // A path that cannot be opened fails before any byte is read.
+    const TraceError err = mustThrow((dir_ / "absent.cbin").string());
     EXPECT_EQ(err.byteOffset(), 0u);
-    EXPECT_NE(std::string(err.what()).find("CTMT"),
+    EXPECT_NE(std::string(err.what()).find("cannot open"),
               std::string::npos);
 }
 
