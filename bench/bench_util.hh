@@ -1,23 +1,17 @@
 /**
  * @file
- * Shared helpers for the per-figure/table bench binaries: canonical
- * configurations, quota handling and row formatting. Every bench
- * prints the same rows/series as the corresponding figure or table of
- * the paper; CRITMEM_INSTRS (and CRITMEM_WARMUP) scale simulation
- * length.
+ * Shared helpers for the bench binaries whose settings no sweep spec
+ * key reaches (bench_table5_widths, bench_ablation, bench_ext_cbp):
+ * the paper's baseline configuration and quota handling.
+ * CRITMEM_INSTRS (and CRITMEM_WARMUP) scale simulation length. Every
+ * figure that a spec can express is a .sweep file under specs/.
  */
 
 #ifndef CRITMEM_BENCH_BENCH_UTIL_HH
 #define CRITMEM_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <utility>
-#include <vector>
 
-#include "exec/job_runner.hh"
-#include "exec/table.hh"
 #include "sim/config.hh"
 #include "sim/log.hh"
 #include "system/experiment.hh"
@@ -26,38 +20,11 @@
 namespace critmem::bench
 {
 
-// Row formatting lives in the exec layer (shared with critmem-sweep).
-using exec::Averager;
-using exec::printHeader;
-using exec::printRow;
-
 /** Default per-core quota for bench runs (scaled by CRITMEM_INSTRS). */
 inline std::uint64_t
 quota(std::uint64_t fallback = 24000)
 {
     return defaultQuota(fallback);
-}
-
-/**
- * CRITMEM_CHECK=1 in the environment attaches the protocol invariant
- * checker to every bench run: any violation aborts the bench via
- * CheckViolation instead of silently producing a bad figure.
- */
-inline bool
-checkRequested()
-{
-    const char *env = std::getenv("CRITMEM_CHECK");
-    return env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0');
-}
-
-/** Apply checkRequested() to @p cfg. */
-inline SystemConfig
-withCheckEnv(SystemConfig cfg)
-{
-    if (checkRequested())
-        cfg.check.enabled = true;
-    return cfg;
 }
 
 /** The paper's 8-core baseline: FR-FCFS, no criticality. */
@@ -67,17 +34,7 @@ parallelBase()
     SystemConfig cfg = SystemConfig::parallelDefault();
     cfg.sched.algo = SchedAlgo::FrFcfs;
     cfg.crit.predictor = CritPredictor::None;
-    return withCheckEnv(cfg);
-}
-
-/** The multiprogrammed baseline (PAR-BS, Section 5.8.2). */
-inline SystemConfig
-multiprogBase()
-{
-    SystemConfig cfg = SystemConfig::multiprogDefault();
-    cfg.sched.algo = SchedAlgo::ParBs;
-    cfg.crit.predictor = CritPredictor::None;
-    return withCheckEnv(cfg);
+    return cfg;
 }
 
 /** Attach a criticality predictor + scheduler to a configuration. */
@@ -90,38 +47,6 @@ withPredictor(SystemConfig cfg, CritPredictor pred,
     cfg.crit.tableEntries = entries;
     cfg.sched.algo = algo;
     return cfg;
-}
-
-/** One engine job for a bench campaign. */
-inline exec::JobSpec
-makeJob(std::string name, exec::RunKind kind, std::string workload,
-        SystemConfig cfg, std::uint64_t quota, bool multiprog = false)
-{
-    exec::JobSpec spec;
-    spec.name = std::move(name);
-    spec.kind = kind;
-    spec.workload = std::move(workload);
-    spec.cfg = std::move(cfg);
-    spec.quota = quota;
-    spec.multiprogPreset = multiprog;
-    return spec;
-}
-
-/**
- * Run a bench campaign on the execution engine and buffer the results
- * for table construction. CRITMEM_JOBS caps the worker threads
- * (default: all cores); the numbers are identical either way.
- */
-inline void
-runCampaign(const std::vector<exec::JobSpec> &jobs,
-            exec::MemorySink &sink)
-{
-    exec::RunnerOptions opts;
-    if (const char *env = std::getenv("CRITMEM_JOBS"))
-        opts.threads = static_cast<unsigned>(std::atoi(env));
-    exec::JobRunner runner(opts);
-    const std::vector<exec::ResultSink *> sinks{&sink};
-    runner.run(jobs, sinks);
 }
 
 } // namespace critmem::bench

@@ -15,7 +15,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "fair/metrics.hh"
 #include "sim/log.hh"
 #include "system/experiment.hh"
 
@@ -51,7 +53,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(quota));
 
     // Alone-IPC baselines under the PAR-BS configuration.
-    std::array<double, 4> alone{};
+    std::vector<double> alone(4);
     for (std::size_t i = 0; i < 4; ++i) {
         alone[i] = runAlone(parbs, appParams(bundle->apps[i]), quota);
         std::printf("  %-8s alone IPC %.3f\n", bundle->apps[i].c_str(),
@@ -62,16 +64,19 @@ main(int argc, char **argv)
         std::printf(" %9s", bundle->apps[i].c_str());
     std::printf("\n");
 
-    const RunResult base = runBundle(parbs, *bundle, quota);
-    const double wsBase = weightedSpeedup(base, alone, quota);
+    auto fairness = [&](const SystemConfig &cfg) {
+        return fair::computeFairness(
+            fair::sharedIpcs(runBundle(cfg, *bundle, quota), quota, 4),
+            alone);
+    };
+    const double wsBase = fairness(parbs).weightedSpeedup;
 
     auto report = [&](const char *name, const SystemConfig &cfg) {
-        const RunResult run = runBundle(cfg, *bundle, quota);
+        const fair::FairnessMetrics m = fairness(cfg);
         std::printf("%-18s %9.4f %9.3f", name,
-                    weightedSpeedup(run, alone, quota) / wsBase,
-                    maxSlowdown(run, alone, quota));
-        for (std::uint32_t i = 0; i < 4; ++i)
-            std::printf(" %9.3f", alone[i] / run.ipc(i, quota));
+                    m.weightedSpeedup / wsBase, m.maxSlowdown);
+        for (const double slowdown : m.slowdown)
+            std::printf(" %9.3f", slowdown);
         std::printf("\n");
     };
 

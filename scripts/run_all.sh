@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerate every artifact: build, test suite (plain, sanitized and
-# Release), checked bench smoke runs, then all benches.
+# Release), checked smoke runs, then every figure spec and bench.
 # CRITMEM_INSTRS / CRITMEM_WARMUP scale simulation length.
 # CRITMEM_SKIP_ASAN=1 / CRITMEM_SKIP_TSAN=1 skip the sanitizer passes
 # (e.g. no clean rebuild budget); CRITMEM_SKIP_CHECKED=1 skips the
@@ -86,9 +86,9 @@ if [ "${CRITMEM_SKIP_TSAN:-0}" != "1" ]; then
         --quota 1000 --jobs 4 --out /dev/null
 fi
 
-# Protocol-checked smoke runs: one figure per scheduler family with
-# the invariant checker attached (CRITMEM_CHECK=1 aborts the bench on
-# any violation), plus a CLI run per scheduler.
+# Protocol-checked smoke runs: a CLI run per scheduler with the
+# invariant checker attached, plus the Fig. 10 scheduler families as
+# a checked sweep (--check fails the campaign on any violation).
 if [ "${CRITMEM_SKIP_CHECKED:-0}" != "1" ]; then
     for sched in fcfs frfcfs crit-casras casras-crit parbs tcm \
                  tcm-crit ahb morse crit-rl atlas minimalist \
@@ -96,20 +96,27 @@ if [ "${CRITMEM_SKIP_CHECKED:-0}" != "1" ]; then
         ./build/examples/critmem-sim --app art --sched "$sched" \
             --instrs 4000 --check --quiet >/dev/null
     done
-    CRITMEM_CHECK=1 CRITMEM_INSTRS="${CRITMEM_INSTRS:-8000}" \
-        ./build/bench/bench_fig10_schedulers > /dev/null
+    ./build/examples/critmem-sweep --spec specs/fig10.sweep --check \
+        --quota "${CRITMEM_INSTRS:-8000}" > /dev/null
 fi
 
+# Every figure and table: each spec runs with the report(s) its
+# header documents (CRITMEM_INSTRS overrides the spec's quota), then
+# the benches no spec key reaches.
 {
-    for b in $(find ./build/bench -maxdepth 1 -type f -executable | sort); do
-        name=$(basename "$b")
-        # bench_micro runs separately below through run_bench.sh so
-        # its JSON feeds the perf regression gate.
-        if [ "$name" = "bench_micro" ]; then
-            continue
-        fi
+    for spec in specs/fig*.sweep specs/sec*.sweep specs/table*.sweep \
+                specs/ext*.sweep; do
+        echo "=== $spec ==="
+        reports=()
+        while read -r report; do
+            reports+=(--report "$report")
+        done < <(grep -o -- '--report [^ ]*' "$spec" | cut -d' ' -f2)
+        ./build/examples/critmem-sweep --spec "$spec" \
+            ${CRITMEM_INSTRS:+--quota "$CRITMEM_INSTRS"} "${reports[@]}"
+    done
+    for name in bench_table5_widths bench_ablation bench_ext_cbp; do
         echo "=== $name ==="
-        "$b"
+        "./build/bench/$name"
     done
 } | tee bench_output.txt
 

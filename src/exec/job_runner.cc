@@ -429,8 +429,14 @@ struct Campaign
             }
         }
 
-        if (!record.ok() && task.attempt < opts.maxAttempts &&
-            !stopping()) {
+        // A checker violation or a trace parse error is a pure
+        // function of (config, seed, input): a rerun fails the same
+        // way, so like a timeout it is never retried.
+        const bool deterministic =
+            record.status == JobStatus::CheckViolation ||
+            record.status == JobStatus::TraceError;
+        if (!record.ok() && !deterministic &&
+            task.attempt < opts.maxAttempts && !stopping()) {
             // Bounded retry: requeue locally and try again after a
             // jittered exponential backoff. The rerun is
             // deterministic, so this only helps against transient

@@ -64,7 +64,11 @@ struct RunnerOptions
 {
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     unsigned threads = 0;
-    /** Total executions allowed per job (1 = no retries). */
+    /**
+     * Total executions allowed per job (1 = no retries). Check
+     * violations and trace errors fail identically on a rerun and
+     * are never retried.
+     */
     unsigned maxAttempts = 1;
     /** Emit a live [done/total] throughput/ETA line on stderr. */
     bool progress = false;

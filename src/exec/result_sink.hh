@@ -68,7 +68,7 @@ class CsvSink : public ResultSink
     std::ostream &os_;
 };
 
-/** Buffers every record for programmatic queries by the benches. */
+/** Buffers every record for programmatic queries and the reports. */
 class MemorySink : public ResultSink
 {
   public:
@@ -85,8 +85,7 @@ class MemorySink : public ResultSink
 
     /**
      * The job's RunResult, insisting it succeeded (throws
-     * std::runtime_error naming the job and its error otherwise) —
-     * the query the figure benches build their tables from.
+     * std::runtime_error naming the job and its error otherwise).
      */
     const RunResult &result(const std::string &name) const;
 

@@ -2,11 +2,12 @@
  * @file
  * Declarative sweep specifications: a workload × variant cross-product
  * (with exclusion filters) that expands into the job list a campaign
- * executes. Specs can be built programmatically (the ported benches)
- * or parsed from the line-based ".sweep" format (critmem-sweep).
+ * executes. Specs can be built programmatically or parsed from the
+ * line-based ".sweep" format (critmem-sweep; every paper figure is
+ * one under specs/).
  *
  * Seeding discipline: with seedMode=fixed every job runs at the
- * campaign seed (what the serial figure benches do); with
+ * campaign seed (what every figure spec uses); with
  * seedMode=derived each job's seed is deriveSeed(campaignSeed, name),
  * decorrelating jobs while keeping the whole campaign reproducible
  * from the single campaign seed.

@@ -135,32 +135,4 @@ runAlone(const SystemConfig &cfg, const AppParams &app,
     return runAloneResult(cfg, app, quota).ipc(0, quota);
 }
 
-double
-weightedSpeedup(const RunResult &run,
-                const std::array<double, 4> &aloneIpc,
-                std::uint64_t quota)
-{
-    double sum = 0.0;
-    for (std::size_t i = 0; i < aloneIpc.size(); ++i) {
-        if (aloneIpc[i] > 0.0)
-            sum += run.ipc(static_cast<std::uint32_t>(i), quota) /
-                aloneIpc[i];
-    }
-    return sum;
-}
-
-double
-maxSlowdown(const RunResult &run,
-            const std::array<double, 4> &aloneIpc, std::uint64_t quota)
-{
-    double worst = 0.0;
-    for (std::size_t i = 0; i < aloneIpc.size(); ++i) {
-        const double shared =
-            run.ipc(static_cast<std::uint32_t>(i), quota);
-        if (shared > 0.0)
-            worst = std::max(worst, aloneIpc[i] / shared);
-    }
-    return worst;
-}
-
 } // namespace critmem

@@ -1,14 +1,14 @@
 /**
  * @file
- * Experiment harness helpers shared by the benches and examples:
- * single-run drivers, result aggregation, speedup and
- * weighted-speedup computation (Snavely/Tullsen [24]).
+ * Experiment harness helpers shared by the execution engine, the
+ * benches and the examples: single-run drivers, result aggregation
+ * and speedup. Multiprogrammed fairness metrics (weighted speedup,
+ * max slowdown) live in fair/metrics.hh.
  */
 
 #ifndef CRITMEM_SYSTEM_EXPERIMENT_HH
 #define CRITMEM_SYSTEM_EXPERIMENT_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -126,19 +126,6 @@ speedup(const RunResult &base, const RunResult &test)
     return static_cast<double>(base.cycles) /
         static_cast<double>(test.cycles);
 }
-
-/**
- * Weighted speedup of a bundle run: sum over apps of IPC_shared /
- * IPC_alone.
- */
-double weightedSpeedup(const RunResult &run,
-                       const std::array<double, 4> &aloneIpc,
-                       std::uint64_t quota);
-
-/** Maximum per-app slowdown (IPC_alone / IPC_shared). */
-double maxSlowdown(const RunResult &run,
-                   const std::array<double, 4> &aloneIpc,
-                   std::uint64_t quota);
 
 } // namespace critmem
 

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
+#include "fair/metrics.hh"
 #include "sched/crit_frfcfs.hh"
 #include "system/experiment.hh"
 #include "system/system.hh"
@@ -223,11 +225,13 @@ TEST(Experiment, WeightedSpeedupAndMaxSlowdown)
     run.finishCycles = {1000, 2000, 1000, 4000};
     const std::uint64_t quota = 1000;
     // shared IPCs: 1.0, 0.5, 1.0, 0.25
-    const std::array<double, 4> alone = {1.0, 1.0, 2.0, 0.5};
+    const std::vector<double> alone = {1.0, 1.0, 2.0, 0.5};
+    const fair::FairnessMetrics m =
+        fair::computeFairness(fair::sharedIpcs(run, quota, 4), alone);
     // WS = 1 + 0.5 + 0.5 + 0.5 = 2.5
-    EXPECT_NEAR(weightedSpeedup(run, alone, quota), 2.5, 1e-9);
+    EXPECT_NEAR(m.weightedSpeedup, 2.5, 1e-9);
     // slowdowns: 1, 2, 2, 2 -> max 2
-    EXPECT_NEAR(maxSlowdown(run, alone, quota), 2.0, 1e-9);
+    EXPECT_NEAR(m.maxSlowdown, 2.0, 1e-9);
 }
 
 TEST(Experiment, RunAloneGivesPositiveIpc)
@@ -303,14 +307,16 @@ TEST(Experiment, WeightedSpeedupWithinSaneBounds)
     cfg.sched.algo = SchedAlgo::ParBs;
     const std::uint64_t quota = 1500;
     const Bundle &bundle = multiprogBundles()[0];
-    std::array<double, 4> alone{};
+    std::vector<double> alone(4);
     for (std::size_t i = 0; i < 4; ++i)
         alone[i] = runAlone(cfg, appParams(bundle.apps[i]), quota);
     const RunResult run = runBundle(cfg, bundle, quota);
-    const double ws = weightedSpeedup(run, alone, quota);
-    EXPECT_GT(ws, 0.5);
-    EXPECT_LE(ws, 4.0); // each app can at best match running alone
-    EXPECT_GE(maxSlowdown(run, alone, quota), 1.0 - 1e-6);
+    const fair::FairnessMetrics m =
+        fair::computeFairness(fair::sharedIpcs(run, quota, 4), alone);
+    EXPECT_GT(m.weightedSpeedup, 0.5);
+    // each app can at best match running alone
+    EXPECT_LE(m.weightedSpeedup, 4.0);
+    EXPECT_GE(m.maxSlowdown, 1.0 - 1e-6);
 }
 
 TEST(Experiment, TcmHybridRunsOnBundles)

@@ -4,8 +4,9 @@
  *
  * Expands a declarative sweep spec into a job list, executes it on
  * the work-stealing JobRunner, streams structured results to JSONL /
- * CSV sinks, and can post-process a speedup table straight from the
- * in-memory records:
+ * CSV sinks, and can post-process figure tables straight from the
+ * in-memory records. Every figure and table of the paper is a spec
+ * under specs/ whose header names its command line, e.g.
  *
  *   critmem-sweep --spec specs/fig10.sweep --jobs $(nproc) \
  *                 --out fig10.jsonl --progress --report speedup:base
@@ -21,7 +22,6 @@
  * either the old file or the complete new one, never a torn write.
  */
 
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -29,7 +29,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <sys/stat.h>
@@ -39,8 +38,8 @@
 #include "exec/campaign.hh"
 #include "exec/console.hh"
 #include "exec/job_runner.hh"
+#include "exec/report.hh"
 #include "exec/sweep.hh"
-#include "exec/table.hh"
 #include "exec/worker.hh"
 #include "sim/atomic_file.hh"
 #include "sim/log.hh"
@@ -120,20 +119,29 @@ usage()
         "                     the spec, verifies the manifest hash,"
         " replays\n"
         "                     journaled jobs and runs only the rest\n"
-        "  --report speedup:BASE\n"
-        "                     after the run, print per-workload cycle\n"
-        "                     speedups of every variant relative to\n"
-        "                     variant BASE (figure-bench layout)\n"
-        "  --report arena     after the run, print the scheduler\n"
-        "                     leaderboard: per-workload rankings and\n"
-        "                     the overall table by the fairness\n"
-        "                     metrics (needs alone=1 bundle sweeps,\n"
-        "                     e.g. specs/arena.sweep)\n"
-        "  --report failures  after the run, print the failure"
-        " summary table\n"
-        "                     (status x variant x workload) plus a"
-        " repro line\n"
-        "                     per permanently failed job\n"
+        "  --report REPORT    after the run, print a report; may be"
+        " given more\n"
+        "                     than once:\n"
+        "    speedup:BASE     per-workload speedup of every variant"
+        " over variant\n"
+        "                     BASE: cycle ratios, or weighted-speedup"
+        " ratios\n"
+        "                     for multiprog sweeps (needs alone=1)\n"
+        "    metric:NAME[,NAME...]\n"
+        "                     per-workload NAME of every variant:"
+        " rob-block-loads,\n"
+        "                     rob-block-time, l2-lat-crit,"
+        " l2-lat-noncrit,\n"
+        "                     lq-full, max-slowdown (needs alone=1)\n"
+        "    arena            the scheduler leaderboard by fairness"
+        " metrics\n"
+        "                     (needs alone=1 bundle sweeps, e.g."
+        " specs/arena.sweep)\n"
+        "    failures         the failure summary table (status x"
+        " variant x\n"
+        "                     workload) plus a repro line per"
+        " permanently\n"
+        "                     failed job\n"
         "  --list             print the expanded job list and exit\n"
         "exit status: 0 all jobs ok, 2 some jobs failed permanently,\n"
         "             3 interrupted by SIGINT/SIGTERM (resumable with"
@@ -155,7 +163,7 @@ main(int argc, char **argv)
     std::string specPath;
     std::string outPath;
     std::string csvPath;
-    std::string report;
+    std::vector<std::string> reports;
     std::string campaignDir;
     bool resume = false;
     exec::RunnerOptions opts;
@@ -219,7 +227,7 @@ main(int argc, char **argv)
             campaignDir = nextArg(i);
             resume = true;
         } else if (arg == "--report") {
-            report = nextArg(i);
+            reports.push_back(nextArg(i));
         } else if (arg == "--list") {
             listOnly = true;
         } else {
@@ -284,6 +292,8 @@ main(int argc, char **argv)
                 spec.captureStats = true;
             jobs = spec.expand();
         }
+        for (const std::string &report : reports)
+            exec::checkReport(report, spec);
     } catch (const std::exception &err) {
         std::fprintf(stderr, "critmem-sweep: %s\n", err.what());
         return 1;
@@ -441,81 +451,11 @@ main(int argc, char **argv)
         return 3;
     }
 
-    if (report == "arena") {
-        exec::printArenaReport(spec, memory);
-    } else if (report == "failures") {
-        // Deterministic for any --jobs: memory.records() is in
-        // submission order and the map sorts the summary cells, so
-        // two runs of the same campaign print identical bytes.
-        std::map<std::array<std::string, 3>, std::size_t> cells;
-        std::size_t failures = 0;
-        for (const exec::JobRecord &rec : memory.records()) {
-            if (rec.ok())
-                continue;
-            ++failures;
-            const auto tag = rec.spec.tags.find("variant");
-            ++cells[{toString(rec.status),
-                     tag != rec.spec.tags.end() ? tag->second : "-",
-                     rec.spec.workload}];
-        }
-        if (failures == 0) {
-            std::printf("# failures: none\n");
-        } else {
-            std::printf("# failures: %zu of %zu job(s)\n", failures,
-                        summary.total);
-            std::printf("%-10s %-14s %-16s %s\n", "status",
-                        "variant", "workload", "count");
-            for (const auto &cell : cells)
-                std::printf("%-10s %-14s %-16s %zu\n",
-                            cell.first[0].c_str(),
-                            cell.first[1].c_str(),
-                            cell.first[2].c_str(), cell.second);
-            std::printf("# repro\n");
-            for (const exec::JobRecord &rec : memory.records()) {
-                if (!rec.ok())
-                    std::printf(
-                        "%s\n", exec::reproCommand(rec.spec).c_str());
-            }
-        }
-    } else if (report.rfind("speedup:", 0) == 0) {
-        const std::string baseVariant = report.substr(8);
-        std::vector<std::string> columns;
-        for (const exec::SweepVariant &variant : spec.variants) {
-            if (variant.name != baseVariant)
-                columns.push_back(variant.name);
-        }
-        std::printf("# speedup vs %s (quota=%llu/core)\n",
-                    baseVariant.c_str(),
-                    static_cast<unsigned long long>(spec.quota));
-        exec::printHeader(columns);
-        exec::Averager avg;
-        for (const exec::JobRecord &rec : memory.records()) {
-            // One row per workload, keyed off its base-variant job.
-            const auto tag = rec.spec.tags.find("variant");
-            if (tag == rec.spec.tags.end() ||
-                tag->second != baseVariant || !rec.ok())
-                continue;
-            const std::string &workload = rec.spec.workload;
-            std::vector<double> row;
-            bool complete = true;
-            for (const std::string &col : columns) {
-                const exec::JobRecord *other =
-                    memory.find(workload + "/" + col);
-                if (!other || !other->ok()) {
-                    complete = false;
-                    break;
-                }
-                row.push_back(
-                    static_cast<double>(rec.result.cycles) /
-                    static_cast<double>(other->result.cycles));
-            }
-            if (!complete)
-                continue;
-            exec::printRow(workload, row);
-            avg.add(row);
-        }
-        exec::printRow("Average", avg.average());
-    }
+    for (const std::string &report : reports)
+        std::fputs(
+            exec::renderReport(report, spec, memory, summary.total)
+                .c_str(),
+            stdout);
 
     return summary.failed == 0 ? 0 : 2;
 }
