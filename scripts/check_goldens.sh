@@ -11,7 +11,10 @@
 # the benchmark's four paper workloads (8-core art and fft under
 # CASRAS-Crit + MaxStallTime, ep under FR-FCFS, the RGTM bundle on the
 # multiprogrammed preset under Crit-RL) plus one modern-controller
-# configuration (closed page + split write queue + prefetcher).
+# configuration (closed page + split write queue + prefetcher). None of
+# those fills a DRAM queue, so fft-retry adds 8-core fft at seed 7,
+# which makes about 175k rejected DRAM enqueues: it pins the
+# hierarchy's writeback and demand retry path.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -59,6 +62,9 @@ check rgtm-critrl ac4512d684a44462 \
 check swim-modern 87c4d27140f7b51a \
     --app swim --sched frfcfs --closed-page --split-wq --prefetch \
     --instrs 20000
+check fft-retry 9308b3dca971a089 \
+    --app fft --sched casras-crit --predictor maxstall --instrs 10000 \
+    --seed 7
 
 if [ "$failed" -ne 0 ]; then
     echo "result goldens: digests differ" >&2

@@ -86,11 +86,11 @@ ProtocolChecker::onEnqueue(std::uint32_t channel, const MemRequest &req,
 }
 
 void
-ProtocolChecker::onReject(std::uint32_t channel, const MemRequest &req,
+ProtocolChecker::onReject(std::uint32_t channel, std::uint64_t count,
                           DramCycle now)
 {
-    (void)req; (void)now;
-    ++channels_[channel].counters.rejects;
+    (void)now;
+    channels_[channel].counters.rejects += count;
 }
 
 void

@@ -49,7 +49,7 @@ class ProtocolChecker : public ChannelObserver
     // ChannelObserver interface.
     void onEnqueue(std::uint32_t channel, const MemRequest &req,
                    const DramCoord &coord, DramCycle now) override;
-    void onReject(std::uint32_t channel, const MemRequest &req,
+    void onReject(std::uint32_t channel, std::uint64_t count,
                   DramCycle now) override;
     void onCommand(std::uint32_t channel, DramCmd cmd,
                    const DramCoord &coord, DramCycle now) override;

@@ -40,6 +40,7 @@ DramChannel::DramChannel(const DramConfig &cfg, std::uint32_t id,
     : cfg_(cfg), id_(id), sched_(sched),
       banks_(std::size_t{cfg.ranksPerChannel} * cfg.banksPerRank),
       ranks_(cfg.ranksPerChannel),
+      rankStale_(cfg.ranksPerChannel, 0),
       stats_(parent, id)
 {
     // Stagger refresh deadlines so the ranks don't refresh in
@@ -49,6 +50,7 @@ DramChannel::DramChannel(const DramConfig &cfg, std::uint32_t id,
             static_cast<DramCycle>(cfg_.t.tREFI) * (r + 1) /
             cfg_.ranksPerChannel;
     }
+    refreshReadiness(0);
 }
 
 bool
@@ -60,17 +62,42 @@ DramChannel::enqueue(MemRequest req, const DramCoord &coord,
         ? readQ_.size() + writeQ_.size()
         : queue.size();
     if (used >= cfg_.queueEntries) {
-        ++stats_.enqueueRejects;
-        if (observer_)
-            observer_->onReject(id_, req, now);
+        reject(1, now);
         return false;
     }
     const DramCycle arrival = now + 1;
     sched_.onEnqueue(id_, req, coord, arrival);
     if (observer_)
         observer_->onEnqueue(id_, req, coord, now);
-    queue.push_back(Transaction{std::move(req), coord, arrival});
+    // Bank state is unchanged, so only the new transaction's readiness
+    // needs computing.
+    const bool isWrite = req.type == ReqType::Write;
+    const TxnReady ready = txnReady(coord, isWrite, 0);
+    queue.push_back(Transaction{req, coord, arrival, ready});
+    if (!ranks_[coord.rank].refreshPending) {
+        DramCycle &min = isWrite ? minReadyWrite_ : minReadyRead_;
+        min = std::min(min, ready.at);
+    }
+    if (!isWrite && req.crit > 0)
+        ++critReads_;
     return true;
+}
+
+void
+DramChannel::reject(std::uint64_t n, DramCycle now)
+{
+    stats_.enqueueRejects += n;
+    if (observer_)
+        observer_->onReject(id_, n, now);
+}
+
+void
+DramChannel::setFaultInjector(FaultInjector *inj)
+{
+    injector_ = inj;
+    // Readiness cached under an injector's EarlyCas slack is not honest.
+    markAllStale();
+    refreshReadiness(0);
 }
 
 bool
@@ -84,6 +111,10 @@ DramChannel::promote(Addr addr, CoreId core, CritLevel crit)
             if (injector_ && injector_->corruptPromotion(lastTick_))
                 applied = 0;
             trans.req.crit = applied;
+            if (previous == 0 && applied > 0)
+                ++critReads_;
+            else if (previous > 0 && applied == 0)
+                --critReads_;
             if (observer_) {
                 observer_->onPromote(id_, addr, core, previous, crit,
                                      applied, lastTick_);
@@ -106,23 +137,19 @@ void
 DramChannel::popCompletions(DramCycle now)
 {
     while (!completions_.empty() && completions_.top().at <= now) {
-        // top() only exposes const access; the heap entry is dead after
-        // pop, so moving the request out is safe.
-        auto &entry = const_cast<Completion &>(completions_.top());
-        MemRequest req = std::move(entry.req);
-        const DramCycle arrival = entry.arrival;
-        const DramCycle at = entry.at;
+        const Completion done = completions_.top();
         completions_.pop();
+        const MemRequest &req = done.req;
         if (injector_ && injector_->dropCompletion(req, now))
             continue; // fault: the data burst vanishes untraced
         lastProgress_ = now;
         if (req.type != ReqType::Write)
-            stats_.readLatency.sample(at - arrival);
+            stats_.readLatency.sample(done.at - done.arrival);
         sched_.onComplete(id_, req, now);
         if (observer_)
             observer_->onComplete(id_, req, now);
-        if (req.onComplete)
-            req.onComplete(req);
+        if (sink_ && req.type != ReqType::Write)
+            sink_->dramComplete(req);
     }
 }
 
@@ -136,9 +163,11 @@ DramChannel::refreshTick(DramCycle now)
                 if (injector_ && injector_->skipRefresh(r, now)) {
                     // Fault: the due refresh silently never happens.
                     rank.refreshDue += cfg_.t.tREFI;
+                    markStale(r);
                     continue;
                 }
                 rank.refreshPending = true;
+                markStale(r);
             } else {
                 continue;
             }
@@ -166,6 +195,7 @@ DramChannel::refreshTick(DramCycle now)
                         std::max(banks_.readyAct[bi], now + cfg_.t.tRP);
                     ++stats_.precharges;
                     lastProgress_ = now;
+                    markStale(r);
                     return true; // consumed the command bus
                 }
             } else {
@@ -179,6 +209,7 @@ DramChannel::refreshTick(DramCycle now)
             rank.refreshDue += cfg_.t.tREFI;
             ++stats_.refreshes;
             lastProgress_ = now;
+            markStale(r);
             if (observer_) {
                 DramCoord coord;
                 coord.channel = id_;
@@ -227,6 +258,25 @@ DramChannel::txnReady(const DramCoord &c, bool isWrite,
 }
 
 bool
+DramChannel::drainNext() const
+{
+    const std::uint32_t hi = cfg_.queueEntries * 3 / 4;
+    const std::uint32_t lo = cfg_.queueEntries / 4;
+    if (!draining_ && writeQ_.size() >= hi)
+        return true;
+    if (draining_ && writeQ_.size() <= lo)
+        return false;
+    return draining_;
+}
+
+void
+DramChannel::updateDraining()
+{
+    if (!cfg_.unifiedQueue)
+        draining_ = drainNext();
+}
+
+bool
 DramChannel::writesEligible() const
 {
     if (cfg_.unifiedQueue)
@@ -235,35 +285,86 @@ DramChannel::writesEligible() const
     // opportunistically when no read is pending. Project the
     // hysteresis forward from the stored state so const callers
     // (nextEventCycle) see the decision the next tick would make.
-    const std::uint32_t hi = cfg_.queueEntries * 3 / 4;
-    const std::uint32_t lo = cfg_.queueEntries / 4;
-    bool draining = draining_;
-    if (!draining && writeQ_.size() >= hi)
-        draining = true;
-    else if (draining && writeQ_.size() <= lo)
-        draining = false;
-    return draining || (readQ_.empty() && !writeQ_.empty());
+    return drainNext() || (readQ_.empty() && !writeQ_.empty());
+}
+
+void
+DramChannel::markStale(std::uint32_t rank)
+{
+    rankStale_[rank] = 1;
+    stale_ = true;
+}
+
+void
+DramChannel::markAllStale()
+{
+    std::fill(rankStale_.begin(), rankStale_.end(), 1);
+    busStale_ = true;
+    stale_ = true;
+}
+
+void
+DramChannel::refreshReadiness(std::uint32_t slack)
+{
+    // A command or refresh action only moves its own rank's bank and
+    // activate-window state; a CAS also moves the data bus, which
+    // every rank's CAS-ready transactions wait on.
+    auto scan = [&](std::vector<Transaction> &queue, bool isWrite) {
+        DramCycle min = kNoCycle;
+        for (Transaction &trans : queue) {
+            const std::uint32_t r = trans.coord.rank;
+            if (rankStale_[r] || (busStale_ && trans.ready.rowHit))
+                trans.ready = txnReady(trans.coord, isWrite, slack);
+            if (!ranks_[r].refreshPending)
+                min = std::min(min, trans.ready.at);
+        }
+        return min;
+    };
+    minReadyRead_ = scan(readQ_, false);
+    minReadyWrite_ = scan(writeQ_, true);
+    std::fill(rankStale_.begin(), rankStale_.end(), 0);
+    busStale_ = false;
+    stale_ = false;
+
+    // Refresh engine events: a rank crossing its tREFI deadline, a
+    // pending refresh becoming able to PRE an open bank, or REF
+    // becoming legal once every bank's activate window has drained.
+    refreshAt_ = kNoCycle;
+    for (std::uint32_t r = 0; r < cfg_.ranksPerChannel; ++r) {
+        const RankState &rank = ranks_[r];
+        if (!rank.refreshPending) {
+            refreshAt_ = std::min(refreshAt_, rank.refreshDue);
+            continue;
+        }
+        bool allClosed = true;
+        DramCycle readyRef = 0;
+        DramCycle preAt = kNoCycle;
+        const std::uint32_t base = bankIdx(r, 0);
+        for (std::uint32_t b = 0; b < cfg_.banksPerRank; ++b) {
+            if (banks_.open[base + b]) {
+                allClosed = false;
+                preAt = std::min(preAt, banks_.readyPre[base + b]);
+            } else {
+                readyRef = std::max(readyRef, banks_.readyAct[base + b]);
+            }
+        }
+        refreshAt_ = std::min(refreshAt_, allClosed ? readyRef : preAt);
+    }
 }
 
 void
 DramChannel::buildCandidates(DramCycle now)
 {
     cands_.clear();
-
-    if (!cfg_.unifiedQueue) {
-        const std::uint32_t hi = cfg_.queueEntries * 3 / 4;
-        const std::uint32_t lo = cfg_.queueEntries / 4;
-        if (!draining_ && writeQ_.size() >= hi)
-            draining_ = true;
-        else if (draining_ && writeQ_.size() <= lo)
-            draining_ = false;
-    }
+    updateDraining();
     const bool wElig = writesEligible();
 
     // EarlyCas fault: pretend CAS timing windows open `slack` cycles
     // sooner than they really do. issue() applies honest timings, so
     // the shadow checker sees a genuinely premature command.
     const std::uint32_t slack = injector_ ? injector_->casSlack(now) : 0;
+    if (stale_)
+        refreshReadiness(slack);
 
     auto consider = [&](const std::vector<Transaction> &queue,
                         bool isWrite) {
@@ -274,9 +375,7 @@ DramChannel::buildCandidates(DramCycle now)
                 continue;
             if (injector_ && injector_->starveCore(trans.req.core))
                 continue; // fault: scheduler never sees this core
-
-            const TxnReady ready = txnReady(c, isWrite, slack);
-            if (ready.at > now)
+            if (trans.ready.at > now)
                 continue;
 
             SchedCandidate cand;
@@ -288,14 +387,18 @@ DramChannel::buildCandidates(DramCycle now)
             cand.crit = trans.req.crit;
             cand.arrival = trans.arrival;
             cand.seq = trans.req.id;
-            cand.cmd = ready.cmd;
-            cand.rowHit = ready.rowHit;
+            cand.cmd = trans.ready.cmd;
+            cand.rowHit = trans.ready.rowHit;
             cands_.push_back(cand);
         }
     };
 
-    consider(readQ_, false);
-    if (wElig)
+    // Without an injector no queue whose minimum lies ahead can offer
+    // a candidate (the injector's starveCore probe must still see
+    // every transaction).
+    if (injector_ || minReadyRead_ <= now)
+        consider(readQ_, false);
+    if (wElig && (injector_ || minReadyWrite_ <= now))
         consider(writeQ_, true);
 }
 
@@ -387,6 +490,7 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
     const std::uint32_t bi = bankIdx(cand.coord.rank, cand.coord.bank);
 
     lastProgress_ = now;
+    markStale(cand.coord.rank);
     if (observer_)
         observer_->onCommand(id_, cand.cmd, cand.coord, now);
 
@@ -414,13 +518,16 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
 
       case DramCmd::Read: {
         applyRead(cand.coord, now);
+        busStale_ = true;
         ++stats_.reads;
         ++stats_.rowHits;
-        Transaction trans = std::move(queue[cand.queueIndex]);
+        const Transaction trans = queue[cand.queueIndex];
         queue.erase(queue.begin() + cand.queueIndex);
+        ++dequeues_;
+        if (trans.req.crit > 0)
+            --critReads_;
         completions_.push(Completion{now + t.tCL + t.dataCycles(),
-                                     completionOrder_++,
-                                     std::move(trans.req),
+                                     completionOrder_++, trans.req,
                                      trans.arrival});
         maybeAutoPrecharge(cand.coord, now);
         break;
@@ -428,13 +535,14 @@ DramChannel::issue(const SchedCandidate &cand, DramCycle now)
 
       case DramCmd::Write: {
         applyWrite(cand.coord, now);
+        busStale_ = true;
         ++stats_.writes;
         ++stats_.rowHits;
-        Transaction trans = std::move(queue[cand.queueIndex]);
+        const Transaction trans = queue[cand.queueIndex];
         queue.erase(queue.begin() + cand.queueIndex);
+        ++dequeues_;
         completions_.push(Completion{now + t.tWL + t.dataCycles(),
-                                     completionOrder_++,
-                                     std::move(trans.req),
+                                     completionOrder_++, trans.req,
                                      trans.arrival});
         maybeAutoPrecharge(cand.coord, now);
         break;
@@ -458,14 +566,38 @@ void
 DramChannel::tick(DramCycle now)
 {
     lastTick_ = now;
-    popCompletions(now);
+    // The EarlyCas slack can change every cycle, so a fault injector
+    // invalidates the readiness cache on every tick.
+    if (injector_)
+        markAllStale();
+    const bool idle = !stale_ && now < eventBound();
+    if (!idle)
+        popCompletions(now);
 
     stats_.readQueueOcc.sample(static_cast<double>(readQ_.size()));
-    std::uint32_t crit = 0;
-    for (const auto &trans : readQ_)
-        crit += trans.req.crit > 0 ? 1 : 0;
-    stats_.critInQueue.sample(static_cast<double>(crit));
+    stats_.critInQueue.sample(static_cast<double>(critReads_));
 
+    if (idle) {
+        // Nothing completes, refreshes or becomes issuable this cycle:
+        // only the idle accounting skipTo() replays, including the
+        // drain hysteresis step buildCandidates() would have taken.
+        if (readQ_.empty() && writeQ_.empty()) {
+            lastProgress_ = now;
+        } else {
+            updateDraining();
+            ++stats_.idleNoCandidate;
+        }
+        return;
+    }
+
+    schedule(now);
+    if (stale_)
+        refreshReadiness(0);
+}
+
+void
+DramChannel::schedule(DramCycle now)
+{
     if (refreshTick(now))
         return;
 
@@ -495,63 +627,31 @@ DramChannel::tick(DramCycle now)
 }
 
 DramCycle
-DramChannel::nextEventCycle(DramCycle now) const
+DramChannel::eventBound() const
 {
-    if (injector_)
-        return now + 1; // faults are probed every cycle: never skip
-
-    DramCycle next = kNoCycle;
+    DramCycle next = refreshAt_;
     if (!completions_.empty())
         next = std::min(next, completions_.top().at);
-
-    // Refresh engine events: a rank crossing its tREFI deadline, a
-    // pending refresh becoming able to PRE an open bank, or REF
-    // becoming legal once every bank's activate window has drained.
-    for (std::uint32_t r = 0; r < cfg_.ranksPerChannel; ++r) {
-        const RankState &rank = ranks_[r];
-        if (!rank.refreshPending) {
-            next = std::min(next, rank.refreshDue);
-            continue;
-        }
-        bool allClosed = true;
-        DramCycle readyRef = 0;
-        DramCycle preAt = kNoCycle;
-        const std::uint32_t base = bankIdx(r, 0);
-        for (std::uint32_t b = 0; b < cfg_.banksPerRank; ++b) {
-            if (banks_.open[base + b]) {
-                allClosed = false;
-                preAt = std::min(preAt, banks_.readyPre[base + b]);
-            } else {
-                readyRef = std::max(readyRef, banks_.readyAct[base + b]);
-            }
-        }
-        next = std::min(next, allClosed ? readyRef : preAt);
-    }
-
     if (!readQ_.empty() || !writeQ_.empty()) {
         // The watchdog only fires while queued work exists; stop the
         // skip at its threshold so onStall() triggers on schedule.
         if (cfg_.watchdogCycles != 0 && observer_)
             next = std::min(next, lastProgress_ + cfg_.watchdogCycles);
-
-        // Earliest cycle any queued transaction becomes issuable,
-        // using the same txnReady() formula buildCandidates() admits
-        // with. Transactions on refresh-pending ranks resurface via
-        // the refresh events above.
-        auto scan = [&](const std::vector<Transaction> &queue,
-                        bool isWrite) {
-            for (const Transaction &trans : queue) {
-                if (ranks_[trans.coord.rank].refreshPending)
-                    continue;
-                next = std::min(
-                    next, txnReady(trans.coord, isWrite, 0).at);
-            }
-        };
-        scan(readQ_, false);
+        // Transactions on refresh-pending ranks are left out of the
+        // minima; they resurface via the refresh events.
+        next = std::min(next, minReadyRead_);
         if (writesEligible())
-            scan(writeQ_, true);
+            next = std::min(next, minReadyWrite_);
     }
+    return next;
+}
 
+DramCycle
+DramChannel::nextEventCycle(DramCycle now) const
+{
+    if (injector_)
+        return now + 1; // faults are probed every cycle: never skip
+    const DramCycle next = eventBound();
     if (next == kNoCycle)
         return kNoCycle;
     return std::max(next, now + 1);
@@ -569,16 +669,15 @@ DramChannel::skipTo(DramCycle to)
     // cycles: queue contents are frozen inside a certified window, so
     // every skipped cycle samples the same occupancy values.
     stats_.readQueueOcc.sampleN(static_cast<double>(readQ_.size()), n);
-    std::uint32_t crit = 0;
-    for (const auto &trans : readQ_)
-        crit += trans.req.crit > 0 ? 1 : 0;
-    stats_.critInQueue.sampleN(static_cast<double>(crit), n);
+    stats_.critInQueue.sampleN(static_cast<double>(critReads_), n);
 
     if (readQ_.empty() && writeQ_.empty()) {
         // No queued work: idling is progress, not a stall.
         lastProgress_ = to;
     } else {
-        // Queued work but (certified) nothing issuable all window.
+        // Queued work but (certified) nothing issuable all window; the
+        // drain hysteresis settles after its first step.
+        updateDraining();
         stats_.idleNoCandidate += n;
     }
 }

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "dram/command.hh"
@@ -28,10 +29,9 @@ namespace critmem
  * one contiguous ready-time vector per command kind, indexed by
  * rank * banksPerRank + bank. The readyX vectors hold the earliest
  * DRAM cycle at which command X may be issued to that bank. The
- * layout keeps the per-tick ready-command scan (and the
- * nextEventCycle() min-scan that mirrors it) a branch-light linear
- * pass over contiguous arrays instead of strided loads through an
- * array of per-bank structs.
+ * layout keeps the readiness recompute after each command a
+ * branch-light linear pass over contiguous arrays instead of strided
+ * loads through an array of per-bank structs.
  */
 struct BankTimingSoA
 {
@@ -114,7 +114,25 @@ class DramChannel
      */
     bool enqueue(MemRequest req, const DramCoord &coord, DramCycle now);
 
-    /** Advance one DRAM cycle: completions, refresh, scheduling. */
+    /**
+     * Count @p n enqueue attempts that the caller knows this channel
+     * rejects (its queue was full and has not dequeued since), exactly
+     * as n failed enqueue() calls at @p now would: enqueueRejects and
+     * the observer's reject count both grow by @p n.
+     */
+    void reject(std::uint64_t n, DramCycle now);
+
+    /**
+     * Number of transactions that have left the queues (CAS issues).
+     * A full queue can only accept again after this has moved.
+     */
+    std::uint64_t dequeues() const { return dequeues_; }
+
+    /**
+     * Advance one DRAM cycle: completions, refresh, scheduling. A
+     * cycle before nextEventCycle()'s bound only does the idle
+     * accounting skipTo() replays.
+     */
     void tick(DramCycle now);
 
     /**
@@ -125,19 +143,23 @@ class DramChannel
      * forward-progress watchdog tripping. Returns kNoCycle when the
      * channel is fully drained and no refresh is on the horizon.
      * With a fault injector attached every cycle is an event (faults
-     * are probed per tick), so skipping is disabled.
+     * are probed per tick), so skipping is disabled. O(1): it reads
+     * the cached readiness minima.
      *
      * Contract: for every cycle t in (now, nextEventCycle(now)),
      * tick(t) would only have resampled the occupancy statistics,
-     * bumped idleNoCandidate, and refreshed lastProgress_/lastTick_
-     * — exactly what skipTo() replays in bulk.
+     * bumped idleNoCandidate, stepped the write-drain hysteresis, and
+     * refreshed lastProgress_/lastTick_ — exactly what skipTo()
+     * replays in bulk.
      */
     DramCycle nextEventCycle(DramCycle now) const;
 
     /**
      * Bulk-apply the idle per-cycle accounting for every skipped
      * cycle in (lastTick_, to]: occupancy samples, idleNoCandidate,
-     * and the lastProgress_/lastTick_ bookkeeping. Only legal when
+     * the write-drain hysteresis (idempotent at fixed queue sizes,
+     * so one step covers the window), and the
+     * lastProgress_/lastTick_ bookkeeping. Only legal when
      * to < nextEventCycle(lastTick_).
      */
     void skipTo(DramCycle to);
@@ -176,7 +198,13 @@ class DramChannel
     void setObserver(ChannelObserver *observer) { observer_ = observer; }
 
     /** Attach a fault injector (nullptr = honest channel). */
-    void setFaultInjector(FaultInjector *inj) { injector_ = inj; }
+    void setFaultInjector(FaultInjector *inj);
+
+    /**
+     * Deliver finished reads and prefetches to @p sink (nullptr =
+     * drop them). The sink must outlive its attachment.
+     */
+    void setSink(DramSink *sink) { sink_ = sink; }
 
     /** Capture a diagnostic snapshot of all channel state. */
     ChannelSnapshot snapshot(DramCycle now) const;
@@ -210,11 +238,28 @@ class DramChannel
     const Stats &channelStats() const { return stats_; }
 
   private:
+    /**
+     * The command a queued transaction wants under the current bank
+     * state, and the earliest DRAM cycle that command's timing
+     * windows open. Each Transaction caches its own: buildCandidates()
+     * admits the candidate when at <= now, and nextEventCycle() takes
+     * the min over all ats — one value, so the scan and the skip bound
+     * cannot diverge.
+     */
+    struct TxnReady
+    {
+        DramCmd cmd = DramCmd::Act;
+        bool rowHit = false;
+        DramCycle at = 0;
+    };
+
     struct Transaction
     {
         MemRequest req;
         DramCoord coord;
         DramCycle arrival = 0;
+        /** txnReady() under the channel's current state (see stale_). */
+        TxnReady ready;
     };
 
     struct Completion
@@ -231,27 +276,42 @@ class DramChannel
         }
     };
 
+    // Queue erases and completion-heap sifts move plain bytes.
+    static_assert(std::is_trivially_copyable_v<Transaction>);
+    static_assert(std::is_trivially_copyable_v<Completion>);
+
     std::uint32_t bankIdx(std::uint32_t rank, std::uint32_t bank) const
     {
         return rank * cfg_.banksPerRank + bank;
     }
 
-    /**
-     * The command a queued transaction wants under the current bank
-     * state, and the earliest DRAM cycle that command's timing
-     * windows open. buildCandidates() admits the candidate when
-     * at <= now; nextEventCycle() takes the min over all ats — one
-     * formula, so the scan and the skip bound cannot diverge.
-     */
-    struct TxnReady
-    {
-        DramCmd cmd;
-        bool rowHit;
-        DramCycle at;
-    };
-
     TxnReady txnReady(const DramCoord &coord, bool isWrite,
                       std::uint32_t slack) const;
+
+    /** A command or refresh action changed @p rank's state. */
+    void markStale(std::uint32_t rank);
+
+    /** Invalidate every transaction (injected EarlyCas slack). */
+    void markAllStale();
+
+    /**
+     * Recompute the stale transactions' readiness under @p slack, the
+     * per-queue minima and the refresh engine's next event.
+     */
+    void refreshReadiness(std::uint32_t slack);
+
+    /**
+     * Earliest cycle at which tick() does more than idle accounting:
+     * nextEventCycle() before clamping to the next cycle. Valid while
+     * the readiness cache is fresh.
+     */
+    DramCycle eventBound() const;
+
+    /** draining_ after one step of the high/low watermark hysteresis. */
+    bool drainNext() const;
+
+    /** Apply that step (split queues only). */
+    void updateDraining();
 
     /** The write-drain watermark decision for the current queue sizes. */
     bool writesEligible() const;
@@ -264,6 +324,9 @@ class DramChannel
 
     /** Report a stall when the forward-progress bound is exceeded. */
     void checkWatchdog(DramCycle now);
+
+    /** tick()'s work after completions: refresh, then one command. */
+    void schedule(DramCycle now);
 
     void buildCandidates(DramCycle now);
     void maybeAutoPrecharge(const DramCoord &coord, DramCycle now);
@@ -290,8 +353,31 @@ class DramChannel
     bool draining_ = false;
     std::uint64_t completionOrder_ = 0;
 
+    /**
+     * Readiness cache. Every queued Transaction holds its TxnReady;
+     * minReadyRead_/minReadyWrite_ are the minima of those cycles over
+     * each queue's transactions on ranks with no refresh pending, and
+     * refreshAt_ is the refresh engine's next event. An enqueue folds
+     * in the new transaction only (bank state is unchanged). An issued
+     * command or a refresh action marks its rank stale (a CAS also
+     * the data bus), and the tick recomputes the stale transactions
+     * and all three bounds once before it ends.
+     */
+    DramCycle minReadyRead_ = kNoCycle;
+    DramCycle minReadyWrite_ = kNoCycle;
+    DramCycle refreshAt_ = kNoCycle;
+    /** Some rank or the bus is stale: the bounds need recomputing. */
+    bool stale_ = false;
+    /** A CAS moved the data bus: every row-hit transaction is stale. */
+    bool busStale_ = false;
+    std::vector<std::uint8_t> rankStale_;
+    /** Queued reads with a nonzero criticality (critInQueue). */
+    std::uint32_t critReads_ = 0;
+    std::uint64_t dequeues_ = 0;
+
     ChannelObserver *observer_ = nullptr;
     FaultInjector *injector_ = nullptr;
+    DramSink *sink_ = nullptr;
     /** Last cycle this channel issued, completed, or was work-free. */
     DramCycle lastProgress_ = 0;
     /** Most recent tick() cycle (timestamps promote() events). */

@@ -21,8 +21,14 @@ DramSystem::enqueue(MemRequest req)
 {
     const DramCoord coord = map_.decode(req.addr);
     req.id = nextId_++;
-    return channels_[coord.channel]->enqueue(std::move(req), coord,
-                                             lastNow_);
+    return channels_[coord.channel]->enqueue(req, coord, lastNow_);
+}
+
+void
+DramSystem::reject(std::uint32_t channel, std::uint64_t n)
+{
+    nextId_ += n;
+    channels_[channel]->reject(n, lastNow_);
 }
 
 void
@@ -89,6 +95,13 @@ DramSystem::setFaultInjector(FaultInjector *injector)
 {
     for (auto &channel : channels_)
         channel->setFaultInjector(injector);
+}
+
+void
+DramSystem::setSink(DramSink *sink)
+{
+    for (auto &channel : channels_)
+        channel->setSink(sink);
 }
 
 } // namespace critmem

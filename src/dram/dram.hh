@@ -43,6 +43,14 @@ class DramSystem
      */
     bool enqueue(MemRequest req);
 
+    /**
+     * Account for @p n enqueue attempts to @p channel that the caller
+     * knows are rejected (the channel's queue was full and has not
+     * dequeued since): each consumes a request id and counts as a
+     * channel reject, exactly as n failed enqueue() calls would.
+     */
+    void reject(std::uint32_t channel, std::uint64_t n);
+
     /** Advance every channel one DRAM cycle. */
     void tick(DramCycle now);
 
@@ -88,6 +96,12 @@ class DramSystem
 
     /** Attach @p injector to every channel (nullptr detaches). */
     void setFaultInjector(FaultInjector *injector);
+
+    /**
+     * Deliver every channel's finished reads and prefetches to
+     * @p sink (nullptr detaches).
+     */
+    void setSink(DramSink *sink);
 
   private:
     DramConfig cfg_;

@@ -92,11 +92,11 @@ class ChannelObserver
         (void)channel; (void)req; (void)coord; (void)now;
     }
 
-    /** A transaction was rejected because the queue was full. */
+    /** @p count transactions were rejected because the queue was full. */
     virtual void
-    onReject(std::uint32_t channel, const MemRequest &req, DramCycle now)
+    onReject(std::uint32_t channel, std::uint64_t count, DramCycle now)
     {
-        (void)channel; (void)req; (void)now;
+        (void)channel; (void)count; (void)now;
     }
 
     /**

@@ -37,12 +37,14 @@ MemHierarchy::MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
       l2Mshr_(cfg.l2.mshrs),
       directory_(static_cast<std::size_t>(cfg.numCores) *
                  (cfg.dl1.sizeBytes / cfg.dl1.blockBytes)),
+      retryChannels_(dram.numChannels()),
       // Every event is scheduled one cache latency ahead (a fill's
       // return, l2.latency / 4 but at least 1, is the shortest).
       events_(std::max({cfg.il1.latency, cfg.dl1.latency, cfg.l2.latency,
                         1u})),
       stats_(group_)
 {
+    dram_.setSink(this);
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
         il1_.push_back(std::make_unique<Cache>(
             cfg.il1, "il1_" + std::to_string(c), group_));
@@ -336,15 +338,16 @@ MemHierarchy::sendToDram(Addr l2Block, L2Entry &entry)
     req.type = entry.demand ? ReqType::Read : ReqType::Prefetch;
     req.core = entry.firstCore;
     req.crit = entry.crit;
-    req.onComplete = [this, l2Block](const MemRequest &) {
-        l2Fill(l2Block);
-    };
-    if (dram_.enqueue(std::move(req))) {
+    if (dram_.enqueue(req)) {
         entry.sentToDram = true;
         return true;
     }
     ++stats_.dramRejects;
-    dramRetry_.push_back(l2Block);
+    // Prefetches are best-effort: the caller drops them instead.
+    if (entry.demand) {
+        dramRetry_.push_back(l2Block);
+        noteRetry(l2Block);
+    }
     return false;
 }
 
@@ -355,13 +358,68 @@ MemHierarchy::writebackToDram(Addr l2Block, CoreId core)
     req.addr = l2Block;
     req.type = ReqType::Write;
     req.core = core;
-    if (!dram_.enqueue(std::move(req))) {
+    if (!dram_.enqueue(req)) {
         ++stats_.dramRejects;
-        req.addr = l2Block;
-        req.type = ReqType::Write;
-        req.core = core;
-        writebackRetry_.push_back(std::move(req));
+        writebackRetry_.push_back(l2Block);
+        noteRetry(l2Block);
     }
+}
+
+void
+MemHierarchy::noteRetry(Addr block)
+{
+    ++retryChannels_[dram_.addressMap().decode(block).channel].waiting;
+}
+
+bool
+MemHierarchy::retryDue() const
+{
+    for (std::uint32_t c = 0; c < retryChannels_.size(); ++c) {
+        const RetryChannel &ch = retryChannels_[c];
+        if (ch.waiting != 0 &&
+            dram_.channel(c).dequeues() != ch.dequeuesSeen) {
+            return true;
+        }
+    }
+    return false;
+}
+
+void
+MemHierarchy::rejectRetries(std::uint64_t ticks)
+{
+    for (std::uint32_t c = 0; c < retryChannels_.size(); ++c) {
+        const std::uint64_t n = retryChannels_[c].waiting * ticks;
+        if (n != 0) {
+            dram_.reject(c, n);
+            stats_.dramRejects += n;
+        }
+    }
+}
+
+void
+MemHierarchy::retryDram()
+{
+    // Every entry is re-counted as it is re-queued below.
+    for (RetryChannel &ch : retryChannels_)
+        ch.waiting = 0;
+    if (!dramRetry_.empty()) {
+        dramRetryScratch_.clear();
+        dramRetryScratch_.swap(dramRetry_);
+        for (const Addr block : dramRetryScratch_) {
+            L2Entry *entry = l2Mshr_.find(block);
+            if (entry && !entry->sentToDram)
+                sendToDram(block, *entry);
+        }
+    }
+    if (!writebackRetry_.empty()) {
+        wbRetryScratch_.clear();
+        wbRetryScratch_.swap(writebackRetry_);
+        for (const Addr block : wbRetryScratch_)
+            writebackToDram(block, kNoCore);
+    }
+    // Whatever is still listed was just rejected by a full queue.
+    for (std::uint32_t c = 0; c < retryChannels_.size(); ++c)
+        retryChannels_[c].dequeuesSeen = dram_.channel(c).dequeues();
 }
 
 void
@@ -383,11 +441,8 @@ MemHierarchy::issuePrefetches(Addr l2Block)
         entry.demand = false;
         entry.started = now_;
         entry.firstCore = 0;
-        if (!sendToDram(target, entry)) {
-            // Prefetches are best-effort: drop instead of retrying.
-            dramRetry_.pop_back();
+        if (!sendToDram(target, entry))
             l2Mshr_.erase(target);
-        }
     }
 }
 
@@ -414,6 +469,12 @@ MemHierarchy::evictFromL2(const Cache::Victim &victim)
     }
     if (dirty)
         writebackToDram(victim.addr, kNoCore);
+}
+
+void
+MemHierarchy::dramComplete(const MemRequest &req)
+{
+    l2Fill(req.addr);
 }
 
 void
@@ -541,8 +602,7 @@ MemHierarchy::quiescent() const
 Cycle
 MemHierarchy::nextEventCycle(Cycle now) const
 {
-    if (!l2MshrRetry_.empty() || !dramRetry_.empty() ||
-        !writebackRetry_.empty())
+    if (!l2MshrRetry_.empty() || retryDue())
         return now + 1;
     const Cycle next = events_.nextCycle();
     if (next == kNoCycle)
@@ -560,7 +620,7 @@ MemHierarchy::tick(Cycle now)
 
     // The retry lists swap into persistent scratch buffers instead of
     // per-tick locals so the steady state never touches the heap (the
-    // retry loops below may push back into the live lists).
+    // retry loops may push back into the live lists).
     if (!l2MshrRetry_.empty()) {
         l2RetryScratch_.clear();
         l2RetryScratch_.swap(l2MshrRetry_);
@@ -568,30 +628,22 @@ MemHierarchy::tick(Cycle now)
             l2Access(waiter.core, waiter.l1Block, waiter.isInst,
                      waiter.rfo);
     }
-    if (!dramRetry_.empty()) {
-        dramRetryScratch_.clear();
-        dramRetryScratch_.swap(dramRetry_);
-        for (const Addr block : dramRetryScratch_) {
-            L2Entry *entry = l2Mshr_.find(block);
-            if (entry && !entry->sentToDram)
-                sendToDram(block, *entry);
-        }
-    }
-    if (!writebackRetry_.empty()) {
-        wbRetryScratch_.clear();
-        wbRetryScratch_.swap(writebackRetry_);
-        for (MemRequest &req : wbRetryScratch_) {
-            const Addr block = req.addr;
-            if (!dram_.enqueue(std::move(req))) {
-                ++stats_.dramRejects;
-                MemRequest again;
-                again.addr = block;
-                again.type = ReqType::Write;
-                again.core = kNoCore;
-                writebackRetry_.push_back(std::move(again));
-            }
-        }
-    }
+    if (dramRetry_.empty() && writebackRetry_.empty())
+        return;
+    if (retryDue())
+        retryDram();
+    else
+        rejectRetries(1);
+}
+
+void
+MemHierarchy::skipTo(Cycle to)
+{
+    // A skip window holds no DRAM dequeue, so every skipped tick would
+    // have had its whole retry round rejected.
+    if (to > now_)
+        rejectRetries(to - now_);
+    now_ = to;
 }
 
 } // namespace critmem

@@ -62,8 +62,11 @@ class CompletionSink
     ~CompletionSink() = default;
 };
 
-/** Caches + directory + prefetcher + DRAM connection. */
-class MemHierarchy
+/**
+ * Caches + directory + prefetcher + DRAM connection. The hierarchy is
+ * its DRAM system's sink: a finished read or prefetch fills the L2.
+ */
+class MemHierarchy : public DramSink
 {
   public:
     MemHierarchy(const SystemConfig &cfg, DramSystem &dram,
@@ -106,16 +109,22 @@ class MemHierarchy
     void tick(Cycle now);
 
     /**
-     * Earliest CPU cycle > @p now at which tick() would do anything:
-     * the next scheduled event, or "next cycle" while any retry list
-     * is non-empty (retries run every tick until they drain).
-     * kNoCycle when fully quiescent. tick() has no per-cycle
-     * accounting, so skipping cycles before this bound is free.
+     * Earliest CPU cycle > @p now at which tick() would do anything
+     * besides counting rejected DRAM retries: the next scheduled
+     * event, or "next cycle" while an L2 MSHR retry is waiting or a
+     * DRAM channel some retry waits on has dequeued since the retries
+     * were last offered. kNoCycle when fully quiescent.
      */
     Cycle nextEventCycle(Cycle now) const;
 
-    /** Advance the clock across a certified-idle skip window. */
-    void skipTo(Cycle to) { now_ = to; }
+    /**
+     * Advance the clock across a certified-idle skip window, counting
+     * the DRAM retries every skipped tick would have had rejected.
+     */
+    void skipTo(Cycle to);
+
+    /** A DRAM read or prefetch finished: fill its L2 block. */
+    void dramComplete(const MemRequest &req) override;
 
     /**
      * Raise the criticality of an in-flight L2 miss (Section 5.1
@@ -217,6 +226,14 @@ class MemHierarchy
     void deliverToL1(const L2Waiter &waiter);
     bool sendToDram(Addr l2Block, L2Entry &entry);
     void writebackToDram(Addr l2Block, CoreId core);
+    /** Count a DRAM retry of @p block on its channel. */
+    void noteRetry(Addr block);
+    /** @return true when re-offering the DRAM retries could succeed. */
+    bool retryDue() const;
+    /** Re-offer every DRAM retry, in list order. */
+    void retryDram();
+    /** Count @p ticks rounds of certainly-rejected DRAM retries. */
+    void rejectRetries(std::uint64_t ticks);
     void issuePrefetches(Addr l2Block);
     void evictFromL2(const Cache::Victim &victim);
     void invalidateSharers(Addr l1Block, CoreId except);
@@ -248,8 +265,22 @@ class MemHierarchy
     std::vector<L2Waiter> l2MshrRetry_;
     /** L2 blocks whose DRAM enqueue was rejected. */
     std::vector<Addr> dramRetry_;
-    /** Writebacks whose DRAM enqueue was rejected. */
-    std::vector<MemRequest> writebackRetry_;
+    /** L2 blocks whose writeback DRAM enqueue was rejected. */
+    std::vector<Addr> writebackRetry_;
+
+    /**
+     * Per DRAM channel: how many entries of the two DRAM retry lists
+     * target it, and its dequeue count when they were last offered.
+     * A rejected entry's queue stays full until that count moves, so
+     * until then each tick's retry round is counted in bulk instead of
+     * re-offered (DESIGN.md §11).
+     */
+    struct RetryChannel
+    {
+        std::uint64_t waiting = 0;
+        std::uint64_t dequeuesSeen = 0;
+    };
+    std::vector<RetryChannel> retryChannels_;
 
     /**
      * tick()'s drain loops swap the retry lists into these persistent
@@ -258,7 +289,7 @@ class MemHierarchy
      */
     std::vector<L2Waiter> l2RetryScratch_;
     std::vector<Addr> dramRetryScratch_;
-    std::vector<MemRequest> wbRetryScratch_;
+    std::vector<Addr> wbRetryScratch_;
 
     /** Pending events, popped in (cycle, schedule order) order. */
     TimingWheel<Event> events_;

@@ -13,7 +13,6 @@
 #define CRITMEM_MEM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/types.hh"
 
@@ -43,11 +42,20 @@ struct MemRequest
     CritLevel crit = 0;
     /** Unique id; also the request's global age for FCFS ordering. */
     std::uint64_t id = 0;
-    /**
-     * Completion callback, invoked once the data burst finishes (reads
-     * and prefetches). Writebacks may leave it empty.
-     */
-    std::function<void(const MemRequest &)> onComplete;
+};
+
+/**
+ * Receives the DRAM subsystem's finished reads and prefetches, once
+ * their data burst completes (the MemHierarchy itself, or a test).
+ * Writebacks have no consumer and are not delivered.
+ */
+class DramSink
+{
+  public:
+    virtual void dramComplete(const MemRequest &req) = 0;
+
+  protected:
+    ~DramSink() = default;
 };
 
 } // namespace critmem

@@ -28,7 +28,7 @@ namespace
 {
 
 /** Standalone DramSystem + checker + deterministic traffic mix. */
-class CheckHarness
+class CheckHarness : public DramSink
 {
   public:
     CheckHarness(SchedAlgo algo, const CheckConfig &check,
@@ -43,6 +43,7 @@ class CheckHarness
         sched_ = makeScheduler(sysCfg_);
         dram_ = std::make_unique<DramSystem>(sysCfg_.dram, *sched_,
                                              root_);
+        dram_->setSink(this);
         checker_ = std::make_unique<ProtocolChecker>(check,
                                                      sysCfg_.dram);
         checker_->attach(*dram_);
@@ -69,12 +70,7 @@ class CheckHarness
                     ? static_cast<CritLevel>(rnd() % 1000)
                     : 0;
                 const bool isRead = req.type == ReqType::Read;
-                if (isRead) {
-                    req.onComplete = [this](const MemRequest &) {
-                        ++completed_;
-                    };
-                }
-                if (dram_->enqueue(std::move(req)) && isRead)
+                if (dram_->enqueue(req) && isRead)
                     ++accepted_;
             }
             dram_->tick(now_);
@@ -107,6 +103,16 @@ class CheckHarness
     std::uint64_t state_ = 0x5eed;
     std::uint64_t accepted_ = 0;
     std::uint64_t completed_ = 0;
+    /** Runs after each finished read is counted. */
+    std::function<void()> onRead_;
+
+    void
+    dramComplete(const MemRequest &) override
+    {
+        ++completed_;
+        if (onRead_)
+            onRead_();
+    }
 };
 
 /** Scheduler that never issues anything: guaranteed stall. */
@@ -259,16 +265,14 @@ TEST(CheckClean, RequestEnqueuedDuringATickIsNotStarved)
 
     constexpr std::uint64_t kFollowUps = 4000;
     std::uint64_t followUps = 0;
-    std::function<void(const MemRequest &)> chain;
-    auto issue = [&h, &chain] {
+    auto issue = [&h] {
         MemRequest req;
         req.addr = (h.rnd() % (1u << 22)) & ~Addr{63};
         req.type = ReqType::Read;
         req.core = 0;
-        req.onComplete = chain;
-        ASSERT_TRUE(h.dram_->enqueue(std::move(req)));
+        ASSERT_TRUE(h.dram_->enqueue(req));
     };
-    chain = [&](const MemRequest &) {
+    h.onRead_ = [&] {
         if (followUps < kFollowUps) {
             ++followUps;
             issue();

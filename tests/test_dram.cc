@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "dram/dram.hh"
 #include "sched/frfcfs.hh"
@@ -14,7 +20,7 @@ namespace
 {
 
 /** Single-channel, single-rank harness with manual clocking. */
-class DramTest : public ::testing::Test
+class DramTest : public ::testing::Test, public DramSink
 {
   protected:
     void
@@ -24,6 +30,7 @@ class DramTest : public ::testing::Test
         cfg_.channels = channels;
         cfg_.ranksPerChannel = ranks;
         dram_ = std::make_unique<DramSystem>(cfg_, sched_, root_);
+        dram_->setSink(this);
     }
 
     /** Enqueue a read; returns a handle to its completion cycle. */
@@ -35,11 +42,19 @@ class DramTest : public ::testing::Test
         req.addr = addr;
         req.type = ReqType::Read;
         req.crit = crit;
-        req.onComplete = [this, done](const MemRequest &) {
-            *done = now_;
-        };
-        EXPECT_TRUE(dram_->enqueue(std::move(req)));
+        EXPECT_TRUE(dram_->enqueue(req));
+        pending_.emplace(addr, done);
         return done;
+    }
+
+    /** Stamp the oldest pending read of the finished address. */
+    void
+    dramComplete(const MemRequest &req) override
+    {
+        const auto it = pending_.lower_bound(req.addr);
+        ASSERT_TRUE(it != pending_.end() && it->first == req.addr);
+        *it->second = now_;
+        pending_.erase(it);
     }
 
     void
@@ -54,6 +69,15 @@ class DramTest : public ::testing::Test
     DramConfig cfg_;
     std::unique_ptr<DramSystem> dram_;
     DramCycle now_ = 0;
+    std::multimap<Addr, std::shared_ptr<DramCycle>> pending_;
+};
+
+/** Counts the finished reads a DramSystem delivers. */
+struct CountingSink : DramSink
+{
+    void dramComplete(const MemRequest &) override { ++completed; }
+
+    std::uint64_t completed = 0;
 };
 
 } // namespace
@@ -242,6 +266,8 @@ TEST_P(DramConservationTest, EveryRequestCompletesOnce)
     sysCfg.dram.ranksPerChannel = 2;
     const auto sched = makeScheduler(sysCfg);
     DramSystem dram(sysCfg.dram, *sched, root);
+    CountingSink sink;
+    dram.setSink(&sink);
 
     std::uint64_t state = 0x51ab1e;
     auto rnd = [&state] {
@@ -249,7 +275,6 @@ TEST_P(DramConservationTest, EveryRequestCompletesOnce)
         return state >> 33;
     };
 
-    std::uint64_t completed = 0;
     std::uint64_t accepted = 0;
     DramCycle now = 0;
     for (int round = 0; round < 4000; ++round) {
@@ -262,12 +287,7 @@ TEST_P(DramConservationTest, EveryRequestCompletesOnce)
             req.core = rnd() % 8;
             req.crit = rnd() % 5 == 0 ? rnd() % 1000 : 0;
             const bool isRead = req.type == ReqType::Read;
-            if (isRead) {
-                req.onComplete = [&completed](const MemRequest &) {
-                    ++completed;
-                };
-            }
-            if (dram.enqueue(std::move(req)) && isRead)
+            if (dram.enqueue(req) && isRead)
                 ++accepted;
         }
         dram.tick(now);
@@ -276,7 +296,7 @@ TEST_P(DramConservationTest, EveryRequestCompletesOnce)
     for (int i = 0; i < 20000 && !dram.idle(); ++i)
         dram.tick(++now);
     EXPECT_TRUE(dram.idle()) << toString(GetParam());
-    EXPECT_EQ(completed, accepted) << toString(GetParam());
+    EXPECT_EQ(sink.completed, accepted) << toString(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -285,3 +305,179 @@ INSTANTIATE_TEST_SUITE_P(
                       SchedAlgo::CasRasCrit, SchedAlgo::ParBs,
                       SchedAlgo::Tcm, SchedAlgo::Ahb, SchedAlgo::Morse,
                       SchedAlgo::Atlas, SchedAlgo::Minimalist));
+
+/**
+ * Readiness-cache differential: the same random traffic — bursts that
+ * fill the queues and idle gaps, reads and writes, promotions, a
+ * writeback enqueued from inside some read completions (as an L2 fill
+ * evicting a dirty line does), and enough cycles to cross several
+ * refresh deadlines per rank — runs three ways: with the cached
+ * readiness ticked every cycle, with the cached readiness and
+ * nextEventCycle()/skipTo() skipping, and with a fault injector that
+ * never fires, which makes every tick recompute every transaction's
+ * readiness from scratch. All three must finish the same requests in
+ * the same order and leave byte-identical statistics.
+ */
+namespace
+{
+
+struct ReadinessCase
+{
+    bool unifiedQueue;
+    bool closedPage;
+    std::uint32_t ranks;
+};
+
+class ReadinessCacheTest : public ::testing::TestWithParam<ReadinessCase>
+{
+};
+
+enum class Drive
+{
+    Cached,
+    CachedSkip,
+    Recompute,
+};
+
+/** Completion order and final statistics of one drive. */
+struct DriveResult
+{
+    std::vector<std::pair<std::uint64_t, DramCycle>> done;
+    std::string statsJson;
+};
+
+DriveResult
+driveTraffic(const ReadinessCase &c, Drive drive)
+{
+    SystemConfig sysCfg = SystemConfig::parallelDefault();
+    sysCfg.sched.algo = SchedAlgo::CasRasCrit;
+    sysCfg.dram.channels = 2;
+    sysCfg.dram.ranksPerChannel = c.ranks;
+    sysCfg.dram.unifiedQueue = c.unifiedQueue;
+    sysCfg.dram.closedPage = c.closedPage;
+    sysCfg.dram.queueEntries = 32;
+    stats::Group root;
+    const auto sched = makeScheduler(sysCfg);
+    DramSystem dram(sysCfg.dram, *sched, root);
+    FaultInjector never;
+    if (drive == Drive::Recompute)
+        dram.setFaultInjector(&never);
+
+    std::uint64_t state = 0x7eadcafe;
+    auto rnd = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 33;
+    };
+    // Few rows per bank, so row hits, misses and conflicts all occur.
+    auto address = [&rnd] {
+        return (rnd() % (1u << 16)) * 64 + (rnd() % 4) * (Addr{1} << 24);
+    };
+
+    struct Recorder : DramSink
+    {
+        DramSystem *dram = nullptr;
+        DramCycle now = 0;
+        std::function<std::uint64_t()> rnd;
+        std::function<Addr()> address;
+        DriveResult result;
+
+        void
+        dramComplete(const MemRequest &req) override
+        {
+            result.done.emplace_back(req.id, now);
+            if (rnd() % 4 == 0) {
+                MemRequest wb;
+                wb.addr = address();
+                wb.type = ReqType::Write;
+                wb.core = req.core;
+                dram->enqueue(wb);
+            }
+        }
+    } sink;
+    sink.dram = &dram;
+    sink.rnd = rnd;
+    sink.address = address;
+    dram.setSink(&sink);
+
+    std::vector<MemRequest> reads;
+    DramCycle now = 0;
+    DramCycle nextArrival = 1;
+    constexpr DramCycle kEnd = 40000;
+    while (now < kEnd || !dram.idle()) {
+        if (drive == Drive::CachedSkip) {
+            const DramCycle bound = std::min(
+                now < kEnd ? std::min(nextArrival, kEnd) : kNoCycle,
+                dram.nextEventCycle(now));
+            if (bound != kNoCycle && bound > now + 1) {
+                dram.skipTo(bound - 1);
+                now = bound - 1;
+            }
+        }
+        ++now;
+        sink.now = now;
+        if (now < kEnd && now == nextArrival) {
+            // Bursts of back-to-back arrivals fill the queues; gaps of
+            // up to 200 cycles let them drain and idle. Write-heavy
+            // stretches push a split write queue across both drain
+            // watermarks.
+            const bool burst = (now / 2000) % 3 == 0;
+            const std::uint64_t writeShare = (now / 5000) % 2 ? 8 : 3;
+            const int arrivals = burst ? 2 : 1;
+            for (int i = 0; i < arrivals; ++i) {
+                MemRequest req;
+                req.addr = address();
+                req.type = rnd() % 10 < writeShare ? ReqType::Write
+                                                   : ReqType::Read;
+                req.core = static_cast<CoreId>(rnd() % 8);
+                req.crit = rnd() % 4 == 0
+                    ? static_cast<CritLevel>(1 + rnd() % 500)
+                    : 0;
+                if (dram.enqueue(req) && req.type == ReqType::Read)
+                    reads.push_back(req);
+            }
+            if (!reads.empty() && rnd() % 8 == 0) {
+                const MemRequest &r = reads[rnd() % reads.size()];
+                dram.promote(r.addr, r.core,
+                             static_cast<CritLevel>(1 + rnd() % 1000));
+            }
+            nextArrival = now + (burst ? 1 : 1 + rnd() % 200);
+        }
+        dram.tick(now);
+    }
+
+    std::ostringstream json;
+    root.printJson(json);
+    sink.result.statsJson = json.str();
+    return sink.result;
+}
+
+} // namespace
+
+TEST_P(ReadinessCacheTest, MatchesRecomputeEveryTick)
+{
+    const DriveResult reference = driveTraffic(GetParam(), Drive::Recompute);
+    const DriveResult cached = driveTraffic(GetParam(), Drive::Cached);
+    const DriveResult skipped = driveTraffic(GetParam(), Drive::CachedSkip);
+    ASSERT_GT(reference.done.size(), 1000u);
+    EXPECT_EQ(cached.done, reference.done);
+    EXPECT_EQ(cached.statsJson, reference.statsJson);
+    EXPECT_EQ(skipped.done, reference.done);
+    EXPECT_EQ(skipped.statsJson, reference.statsJson);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    QueueAndPagePolicies, ReadinessCacheTest,
+    ::testing::Values(ReadinessCase{true, false, 1},
+                      ReadinessCase{true, false, 2},
+                      ReadinessCase{true, true, 1},
+                      ReadinessCase{true, true, 2},
+                      ReadinessCase{false, false, 1},
+                      ReadinessCase{false, false, 2},
+                      ReadinessCase{false, true, 1},
+                      ReadinessCase{false, true, 2}),
+    [](const ::testing::TestParamInfo<ReadinessCase> &info) {
+        const ReadinessCase &c = info.param;
+        return std::string(c.unifiedQueue ? "Unified" : "Split") +
+            (c.closedPage ? "Closed" : "Open") + std::to_string(c.ranks) +
+            "Rank";
+    });
