@@ -3,7 +3,8 @@
 # (fig*, sec*, table*, ext*.sweep) at a tiny quota with the report(s)
 # its header documents (every `--report X` on the spec's command-line
 # comment). Fails when a spec documents no report, when critmem-sweep
-# exits nonzero, or when a report prints no Average row.
+# exits nonzero, or when a report prints no summary row (Average, or
+# Max for a table of peaks).
 #
 #   check_figures.sh SWEEP_BIN SPECS_DIR [QUOTA]
 set -euo pipefail
@@ -42,9 +43,9 @@ for spec in "$dir"/fig*.sweep "$dir"/sec*.sweep "$dir"/table*.sweep \
         status=1
         continue
     fi
-    averages=$(grep -c '^Average ' "$tmp/$name.txt" || true)
-    if [ "$averages" -ne $((${#reports[@]} / 2)) ]; then
-        echo "FAIL: $spec printed $averages Average row(s) for" \
+    summaries=$(grep -cE '^(Average|Max) ' "$tmp/$name.txt" || true)
+    if [ "$summaries" -ne $((${#reports[@]} / 2)) ]; then
+        echo "FAIL: $spec printed $summaries summary row(s) for" \
              "$((${#reports[@]} / 2)) report(s)" >&2
         cat "$tmp/$name.txt" >&2
         status=1

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate every artifact: build, test suite (plain, sanitized and
-# Release), checked smoke runs, then every figure spec and bench.
-# CRITMEM_INSTRS / CRITMEM_WARMUP scale simulation length.
+# Release), checked smoke runs, then every figure spec.
+# CRITMEM_INSTRS sets every figure spec's per-core quota (--quota).
 # CRITMEM_SKIP_ASAN=1 / CRITMEM_SKIP_TSAN=1 skip the sanitizer passes
 # (e.g. no clean rebuild budget); CRITMEM_SKIP_CHECKED=1 skips the
 # checked smoke runs.
@@ -101,8 +101,7 @@ if [ "${CRITMEM_SKIP_CHECKED:-0}" != "1" ]; then
 fi
 
 # Every figure and table: each spec runs with the report(s) its
-# header documents (CRITMEM_INSTRS overrides the spec's quota), then
-# the benches no spec key reaches.
+# header documents (CRITMEM_INSTRS overrides the spec's quota).
 {
     for spec in specs/fig*.sweep specs/sec*.sweep specs/table*.sweep \
                 specs/ext*.sweep; do
@@ -113,10 +112,6 @@ fi
         done < <(grep -o -- '--report [^ ]*' "$spec" | cut -d' ' -f2)
         ./build/examples/critmem-sweep --spec "$spec" \
             ${CRITMEM_INSTRS:+--quota "$CRITMEM_INSTRS"} "${reports[@]}"
-    done
-    for name in bench_table5_widths bench_ablation bench_ext_cbp; do
-        echo "=== $name ==="
-        "./build/bench/$name"
     done
 } | tee bench_output.txt
 

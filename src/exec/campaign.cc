@@ -8,6 +8,7 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "fair/baseline_cache.hh"
 #include "sched/registry.hh"
 #include "sim/atomic_file.hh"
 #include "trace/workloads.hh"
@@ -327,9 +328,12 @@ campaignHash(const std::vector<JobSpec> &jobs)
         fnv.u64(spec.cfg.seed);
         fnv.str(toString(spec.kind));
         fnv.str(spec.workload);
-        fnv.str(cliName(spec.cfg.sched.algo));
-        fnv.str(cliName(spec.cfg.crit.predictor));
-        fnv.u64(spec.cfg.crit.tableEntries);
+        // The whole simulated config, so resuming after editing any
+        // variant setting is refused; fault injection is outside the
+        // config hash and hashed here.
+        fnv.u64(fair::configHash(spec.cfg));
+        fnv.str(toString(spec.cfg.check.fault));
+        fnv.u64(spec.cfg.check.faultPeriod);
         fnv.u64(spec.quota);
         fnv.u64(spec.warmup);
     }

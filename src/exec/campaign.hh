@@ -70,8 +70,9 @@ std::string hashHex(std::uint64_t value);
 
 /**
  * Identity hash of a fully expanded campaign: folds every field of
- * every job that the result files depend on (name, seed, kind,
- * workload, scheduler, predictor, quota, warmup) plus the registry
+ * every job that the result files depend on (name, kind, workload,
+ * quota, warmup, the whole SystemConfig through fair::configHash,
+ * and the injected fault and its period) plus the registry
  * contents (scheduler/app/bundle name lists), so a code or spec
  * change that would alter the job list changes the hash.
  */

@@ -4,7 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sched/registry.hh"
+#include "exec/settings.hh"
 #include "system/system.hh"
 #include "trace/workloads.hh"
 
@@ -92,37 +92,13 @@ reproCommand(const JobSpec &spec)
     }
     if (spec.kind == RunKind::Alone)
         cmd << " --alone";
-    cmd << " --sched " << cliName(cfg.sched.algo);
-    if (cfg.crit.predictor != CritPredictor::None) {
-        cmd << " --predictor " << cliName(cfg.crit.predictor)
-            << " --entries " << cfg.crit.tableEntries;
-    }
-    if (cfg.crit.resetInterval != 0)
-        cmd << " --reset " << cfg.crit.resetInterval;
     cmd << " --instrs " << spec.quota;
     if (spec.warmup != kDefaultWarmup)
         cmd << " --warmup " << spec.warmup;
-    cmd << " --seed " << cfg.seed;
-    if (cfg.dram.ranksPerChannel != base.dram.ranksPerChannel)
-        cmd << " --ranks " << cfg.dram.ranksPerChannel;
-    if (cfg.dram.channels != base.dram.channels)
-        cmd << " --channels " << cfg.dram.channels;
-    if (cfg.dram.speed != base.dram.speed)
-        cmd << " --speed " << cliName(cfg.dram.speed);
-    if (cfg.core.lqEntries != base.core.lqEntries)
-        cmd << " --lq " << cfg.core.lqEntries;
-    if (cfg.prefetch.enabled)
-        cmd << " --prefetch";
-    if (cfg.dram.closedPage)
-        cmd << " --closed-page";
-    if (!cfg.dram.unifiedQueue)
-        cmd << " --split-wq";
-    if (cfg.check.fault != FaultKind::None) {
-        cmd << " --inject " << toString(cfg.check.fault)
-            << " --inject-period " << cfg.check.faultPeriod;
-    } else if (cfg.check.enabled) {
+    cmd << settingFlags(cfg, base);
+    // --inject implies --check, which is a run-mode flag.
+    if (cfg.check.enabled && cfg.check.fault == FaultKind::None)
         cmd << " --check";
-    }
     return cmd.str();
 }
 

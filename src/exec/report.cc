@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "crit/overhead.hh"
 #include "fair/metrics.hh"
 
 namespace critmem::exec
@@ -59,6 +60,8 @@ struct Metric
     int precision;
     /** Read from the fairness annotation (needs alone = 1). */
     bool fairness;
+    /** A peak: the table's summary row is the Max, not the Average. */
+    bool peak;
     double (*value)(const JobRecord &rec);
 };
 
@@ -70,31 +73,43 @@ percent(std::uint64_t part, std::uint64_t whole)
             static_cast<double>(whole);
 }
 
-const std::array<Metric, 6> kMetrics = {{
+const std::array<Metric, 8> kMetrics = {{
     // Fig. 1: % of dynamic loads that block the ROB head, and % of
     // core cycles the head is blocked by a load.
-    {"rob-block-loads", 2, false,
+    {"rob-block-loads", 2, false, false,
      [](const JobRecord &rec) {
          return percent(rec.result.blockingLoads,
                         rec.result.dynamicLoads);
      }},
-    {"rob-block-time", 2, false,
+    {"rob-block-time", 2, false, false,
      [](const JobRecord &rec) {
          return percent(rec.result.robBlockedCycles,
                         rec.result.coreCycles);
      }},
     // Fig. 6: mean L2 miss latency (CPU cycles) by criticality.
-    {"l2-lat-crit", 1, false,
+    {"l2-lat-crit", 1, false, false,
      [](const JobRecord &rec) { return rec.result.l2MissLatCrit; }},
-    {"l2-lat-noncrit", 1, false,
+    {"l2-lat-noncrit", 1, false, false,
      [](const JobRecord &rec) { return rec.result.l2MissLatNonCrit; }},
     // Fig. 9: % of core cycles the load queue is full.
-    {"lq-full", 4, false,
+    {"lq-full", 4, false, false,
      [](const JobRecord &rec) {
          return percent(rec.result.lqFullCycles, rec.result.coreCycles);
      }},
+    // Table 5: the largest CBP counter value observed, and the bits
+    // needed to hold it. counterWidth is monotone, so the Max row's
+    // width is the width of the Max row's value.
+    {"cbp-max", 0, false, true,
+     [](const JobRecord &rec) {
+         return static_cast<double>(rec.result.maxCbpValue);
+     }},
+    {"cbp-bits", 0, false, true,
+     [](const JobRecord &rec) {
+         return static_cast<double>(
+             counterWidth(rec.result.maxCbpValue));
+     }},
     // Fig. 12: the largest per-application slowdown of a bundle.
-    {"max-slowdown", 4, true,
+    {"max-slowdown", 4, true, false,
      [](const JobRecord &rec) { return rec.fairness.maxSlowdown; }},
 }};
 
@@ -110,15 +125,17 @@ findMetric(const std::string &name)
 
 /**
  * A figure table: a label column, one fixed-width column per series,
- * then an Average row over the rows it printed.
+ * then a summary row over the rows it printed: their Average, or
+ * their Max for a table of peaks.
  */
 class Table
 {
   public:
     Table(std::string &out, const std::vector<std::string> &columns,
-          std::vector<int> precisions, const char *first)
-        : out_(out), precisions_(std::move(precisions)),
-          sums_(columns.size(), 0.0)
+          std::vector<int> precisions, const char *first,
+          bool peak = false)
+        : out_(out), precisions_(std::move(precisions)), peak_(peak),
+          sums_(columns.size(), 0.0), maxes_(columns.size(), 0.0)
     {
         appendf(out_, "%-10s", first);
         for (const std::string &col : columns) {
@@ -133,8 +150,11 @@ class Table
     row(const std::string &label, const std::vector<double> &values)
     {
         print(label, values);
-        for (std::size_t i = 0; i < values.size(); ++i)
+        for (std::size_t i = 0; i < values.size(); ++i) {
             sums_[i] += values[i];
+            maxes_[i] = rows_ == 0 ? values[i]
+                                   : std::max(maxes_[i], values[i]);
+        }
         ++rows_;
     }
 
@@ -145,10 +165,14 @@ class Table
     }
 
     void
-    average()
+    summary()
     {
         if (rows_ == 0) {
-            out_ += "# no complete rows to average\n";
+            out_ += "# no complete rows to summarize\n";
+            return;
+        }
+        if (peak_) {
+            print("Max", maxes_);
             return;
         }
         std::vector<double> avg(sums_);
@@ -171,7 +195,9 @@ class Table
     std::string &out_;
     std::vector<int> widths_;
     std::vector<int> precisions_;
+    bool peak_;
     std::vector<double> sums_;
+    std::vector<double> maxes_;
     std::size_t rows_ = 0;
 };
 
@@ -222,15 +248,39 @@ rowLabel(const SweepSpec &spec)
     return spec.mode == SweepSpec::Mode::Multiprog ? "bundle" : "app";
 }
 
+/** The BASE and COL list of a "speedup:BASE[:COL,...]" report. */
+struct SpeedupArgs
+{
+    std::string base;
+    /** The variants to compare; every one but BASE when empty. */
+    std::vector<std::string> columns;
+};
+
+SpeedupArgs
+speedupArgs(const std::string &report)
+{
+    const std::string args = report.substr(8);
+    const std::size_t colon = args.find(':');
+    if (colon == std::string::npos)
+        return {args, {}};
+    return {args.substr(0, colon), splitNames(args.substr(colon + 1))};
+}
+
 std::string
-speedupReport(const std::string &base, const SweepSpec &spec,
+speedupReport(const SpeedupArgs &args, const SweepSpec &spec,
               const MemorySink &memory)
 {
     const bool bundles = spec.mode == SweepSpec::Mode::Multiprog;
+    const std::string &base = args.base;
     std::vector<std::string> variants{base};
-    for (const SweepVariant &variant : spec.variants) {
-        if (variant.name != base)
-            variants.push_back(variant.name);
+    if (args.columns.empty()) {
+        for (const SweepVariant &variant : spec.variants) {
+            if (variant.name != base)
+                variants.push_back(variant.name);
+        }
+    } else {
+        variants.insert(variants.end(), args.columns.begin(),
+                        args.columns.end());
     }
     const std::vector<std::string> columns(variants.begin() + 1,
                                            variants.end());
@@ -263,7 +313,7 @@ speedupReport(const std::string &base, const SweepSpec &spec,
         }
         table.row(workload, row);
     }
-    table.average();
+    table.summary();
     return out;
 }
 
@@ -277,6 +327,8 @@ metricReport(const std::vector<std::string> &names,
         metrics.push_back(findMetric(name));
         fairness = fairness || metrics.back()->fairness;
     }
+    // checkReport() refuses a table mixing peaks with averages.
+    const bool peak = metrics.front()->peak;
     std::vector<std::string> variants;
     std::vector<std::string> columns;
     std::vector<int> precisions;
@@ -291,7 +343,7 @@ metricReport(const std::vector<std::string> &names,
     std::string out;
     appendf(out, "# metrics (quota=%llu/core)\n",
             static_cast<unsigned long long>(spec.quota));
-    Table table(out, columns, precisions, rowLabel(spec));
+    Table table(out, columns, precisions, rowLabel(spec), peak);
     for (const std::string &workload : workloadRows(memory)) {
         std::string why;
         const std::vector<const JobRecord *> recs =
@@ -307,7 +359,7 @@ metricReport(const std::vector<std::string> &names,
         }
         table.row(workload, row);
     }
-    table.average();
+    table.summary();
     return out;
 }
 
@@ -451,13 +503,20 @@ checkReport(const std::string &report, const SweepSpec &spec)
     if (report == "arena" || report == "failures")
         return;
     if (report.rfind("speedup:", 0) == 0) {
-        const std::string base = report.substr(8);
-        if (std::none_of(spec.variants.begin(), spec.variants.end(),
-                         [&](const SweepVariant &variant) {
-                             return variant.name == base;
-                         }))
-            bad("report '" + report + "': the spec has no variant '" +
-                base + "'");
+        const SpeedupArgs args = speedupArgs(report);
+        if (args.base.empty())
+            bad("report '" + report + "' names no base variant");
+        std::vector<std::string> named{args.base};
+        named.insert(named.end(), args.columns.begin(),
+                     args.columns.end());
+        for (const std::string &name : named) {
+            if (std::none_of(spec.variants.begin(), spec.variants.end(),
+                             [&](const SweepVariant &variant) {
+                                 return variant.name == name;
+                             }))
+                bad("report '" + report +
+                    "': the spec has no variant '" + name + "'");
+        }
         if (spec.mode == SweepSpec::Mode::Multiprog && !haveAlone)
             bad("report '" + report + "': a multiprog speedup "
                 "compares weighted speedups and needs alone = 1");
@@ -481,11 +540,15 @@ checkReport(const std::string &report, const SweepSpec &spec)
             if (metric->fairness && !haveAlone)
                 bad("report '" + report + "': " + name +
                     " needs a multiprog sweep with alone = 1");
+            if (metric->peak != findMetric(names.front())->peak)
+                bad("report '" + report + "': peak metrics (Max row) "
+                    "and averaged metrics need separate reports");
         }
         return;
     }
     bad("unknown report '" + report +
-        "' (arena, failures, speedup:BASE, metric:NAME[,NAME...])");
+        "' (arena, failures, speedup:BASE[:COL[,COL...]], "
+        "metric:NAME[,NAME...])");
 }
 
 std::string
@@ -497,7 +560,7 @@ renderReport(const std::string &report, const SweepSpec &spec,
     if (report == "failures")
         return failuresReport(memory, totalJobs);
     if (report.rfind("speedup:", 0) == 0)
-        return speedupReport(report.substr(8), spec, memory);
+        return speedupReport(speedupArgs(report), spec, memory);
     return metricReport(splitNames(report.substr(7)), spec, memory);
 }
 

@@ -3,16 +3,21 @@
  * Post-campaign reports behind `critmem-sweep --report`: text tables
  * built from a finished campaign's in-memory records, in the layout
  * every reproduced figure and table prints (one row per workload,
- * then an Average row). Each figure's spec under specs/ names the
- * reports that print it.
+ * then an Average row, or a Max row for a table of peaks). Each
+ * figure's spec under specs/ names the reports that print it.
  *
  *   speedup:BASE      speedup of every other variant over variant
  *                     BASE. Parallel sweeps divide cycles (BASE /
  *                     variant); multiprog sweeps divide weighted
  *                     speedups (variant / BASE) taken from the
  *                     fairness annotation, so they need alone = 1.
+ *   speedup:BASE:COL[,COL...]
+ *                     the same for the listed variants only, so one
+ *                     spec can hold several baselines.
  *   metric:NAME[,..]  one column per (variant, NAME); the names are
- *                     the rows of kMetrics in report.cc.
+ *                     the rows of kMetrics in report.cc. The peak
+ *                     metrics (cbp-max, cbp-bits) end in a Max row
+ *                     and cannot share a table with averaged ones.
  *   arena             the scheduler leaderboard: per-workload
  *                     rankings and the overall table by the fairness
  *                     metrics (needs alone = 1 bundle sweeps).

@@ -69,16 +69,6 @@ struct TraceDecl
     ingest::IngestOptions options;
 };
 
-/**
- * Apply one spec setting to a job under construction. Supported keys:
- * sched, predictor, entries, reset, ranks, channels, speed, lq,
- * prefetch, closed-page, split-wq, morse-cmds, cores, seed, inject,
- * inject-period (fault injection, mirroring critmem-sim --inject).
- * Throws std::runtime_error on unknown keys or unparsable values.
- */
-void applySetting(SystemConfig &cfg, const std::string &key,
-                  const std::string &value);
-
 /** A declarative experiment campaign. */
 struct SweepSpec
 {
@@ -139,7 +129,7 @@ bool globMatch(const std::string &pattern, const std::string &text);
  *   stats = 0 | 1
  *   exclude = art/morse, swim/morse   ('*' wildcards allowed)
  *   scheds = frfcfs, tcm         (shorthand: one variant per entry)
- *   variant NAME : key=value key=value ...
+ *   variant NAME : key=value key=value ...  (exec/settings.hh keys)
  *   trace NAME : path=FILE [format=auto|text|binary]
  *                [policy=fail|skip-record|truncate] [skip-budget=N]
  *                [max-line=N] [max-record=N] [max-cores=N]

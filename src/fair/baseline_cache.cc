@@ -45,6 +45,8 @@ configHash(const SystemConfig &cfg)
     Fnv fnv;
     fnv.u64(cfg.numCores);
     fnv.u64(cfg.seed);
+    fnv.f64(cfg.prewarmDirty);
+    fnv.f64(cfg.burstiness);
 
     const CoreConfig &core = cfg.core;
     fnv.u64(core.freqMHz);

@@ -420,6 +420,10 @@ SystemConfig::validate() const
         if (prefetch.degree == 0)
             addError(errors, "prefetch.degree", "must be nonzero");
     }
+    if (!(prewarmDirty >= 0.0 && prewarmDirty <= 1.0))
+        addError(errors, "prewarmDirty", "must lie in [0, 1]");
+    if (!(burstiness >= 0.0 && burstiness <= 1.0))
+        addError(errors, "burstiness", "must lie in [0, 1]");
     if (crit.probShift >= 32)
         addError(errors, "crit.probShift", "must be below 32");
     if (crit.counterWidth > 64)

@@ -237,8 +237,8 @@ struct CritConfig
      * Hardware counter width in bits; values saturate at 2^width - 1.
      * 0 = unbounded (the paper's main configurations, which instead
      * size the counter for the largest observed value, Table 5).
-     * Section 5.3 mentions saturation as an unexplored option; the
-     * bench_ext_cbp experiment explores it.
+     * Section 5.3 mentions saturation as an unexplored option;
+     * specs/ext_cbp.sweep explores it (the counter-width key).
      */
     std::uint32_t counterWidth = 0;
     /**
@@ -367,6 +367,19 @@ struct SystemConfig
      * the plain tick-every-cycle loop when debugging.
      */
     bool fastForward = true;
+    /**
+     * Probability that a line System::prewarmCaches() inserts into the
+     * L2 is dirty: the steady-state dirtiness that sets the writeback
+     * share of early DRAM traffic. In [0, 1].
+     */
+    double prewarmDirty = 0.12;
+    /**
+     * Fraction of every synthetic app's far accesses clustered into
+     * the head of its loop body (the "memory phase"), which is what
+     * intermittently fills the DRAM queues; the rest fall uniformly.
+     * In [0, 1].
+     */
+    double burstiness = 0.85;
     CoreConfig core;
     CacheConfig il1;
     CacheConfig dl1;

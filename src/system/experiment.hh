@@ -1,7 +1,7 @@
 /**
  * @file
- * Experiment harness helpers shared by the execution engine, the
- * benches and the examples: single-run drivers, result aggregation
+ * Experiment harness helpers shared by the execution engine and the
+ * examples: single-run drivers, result aggregation
  * and speedup. Multiprogrammed fairness metrics (weighted speedup,
  * max slowdown) live in fair/metrics.hh.
  */
@@ -64,11 +64,12 @@ struct RunResult
     }
 };
 
-/** Read CRITMEM_INSTRS, else @p fallback (per-core commit quota). */
-std::uint64_t defaultQuota(std::uint64_t fallback);
-
-/** Read CRITMEM_WARMUP, else half the quota (warmup instructions). */
-std::uint64_t defaultWarmup(std::uint64_t quota);
+/** The default warmup length: half the quota (warmup micro-ops). */
+inline std::uint64_t
+defaultWarmup(std::uint64_t quota)
+{
+    return quota / 2;
+}
 
 /** Sentinel warmup value meaning "use defaultWarmup(quota)". */
 inline constexpr std::uint64_t kDefaultWarmup = ~std::uint64_t{0};
@@ -91,8 +92,7 @@ RunResult runSystem(System &sys, std::uint64_t quota,
 /**
  * Run one parallel application (all cores) to its quota.
  * @param cfg Complete configuration (scheduler, predictor, ...).
- * @param warmup Warmup micro-ops; kDefaultWarmup reads the
- *        CRITMEM_WARMUP environment (else half the quota).
+ * @param warmup Warmup micro-ops; kDefaultWarmup is half the quota.
  */
 RunResult runParallel(const SystemConfig &cfg, const AppParams &app,
                       std::uint64_t quota,

@@ -89,12 +89,14 @@ System::build(const std::vector<AppParams> &perCore, bool parallel)
         if (parallel) {
             // SPMD threads of one application, shared address space.
             gens_.push_back(std::make_unique<SyntheticApp>(
-                perCore[i], i, cfg_.numCores, 0, cfg_.seed));
+                perCore[i], i, cfg_.numCores, 0, cfg_.seed,
+                cfg_.burstiness));
         } else {
             // Disjoint address spaces, one single-threaded app each.
             const Addr base = static_cast<Addr>(i) << 40;
             gens_.push_back(std::make_unique<SyntheticApp>(
-                perCore[i], 0, 1, base, cfg_.seed + i * 977));
+                perCore[i], 0, 1, base, cfg_.seed + i * 977,
+                cfg_.burstiness));
         }
         cores_.push_back(std::make_unique<Core>(
             cfg_, i, *gens_.back(), *hier_, root_));
@@ -104,12 +106,12 @@ System::build(const std::vector<AppParams> &perCore, bool parallel)
 }
 
 void
-System::prewarmCaches(double fillFrac, double dirtyFrac)
+System::prewarmCaches()
 {
     Rng rng(cfg_.seed ^ 0x77a12f5ull);
     Cache &l2 = hier_->l2();
     const std::uint64_t lines = static_cast<std::uint64_t>(
-        fillFrac * cfg_.l2.sizeBytes / cfg_.l2.blockBytes);
+        kPrewarmFill * cfg_.l2.sizeBytes / cfg_.l2.blockBytes);
 
     // Gather every active thread's far regions once.
     std::vector<std::pair<Addr, std::uint64_t>> regions;
@@ -128,8 +130,9 @@ System::prewarmCaches(double fillFrac, double dirtyFrac)
         const auto &[base, size] = regions[rng.below(regions.size())];
         const Addr block =
             l2.blockAlign(base + rng.below(size));
-        l2.insert(block, rng.chance(dirtyFrac) ? LineState::Modified
-                                               : LineState::Exclusive);
+        l2.insert(block, rng.chance(cfg_.prewarmDirty)
+                             ? LineState::Modified
+                             : LineState::Exclusive);
     }
 }
 

@@ -72,11 +72,13 @@ class System
      * regions — the steady-state resident set a long-running program
      * would have built — so that capacity evictions and dirty
      * writebacks behave realistically from the first measured cycle.
-     *
-     * @param fillFrac Fraction of L2 lines to populate.
-     * @param dirtyFrac Probability a prefilled line is dirty.
+     * Populates kPrewarmFill of the L2's lines, each dirty with
+     * probability SystemConfig::prewarmDirty.
      */
-    void prewarmCaches(double fillFrac = 0.9, double dirtyFrac = 0.12);
+    void prewarmCaches();
+
+    /** Fraction of the L2's lines prewarmCaches() populates. */
+    static constexpr double kPrewarmFill = 0.9;
 
     /**
      * Close the warmup window: zero every statistic and restart the

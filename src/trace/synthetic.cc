@@ -36,8 +36,9 @@ pageAlign(Addr bytes)
 
 SyntheticApp::SyntheticApp(const AppParams &params, CoreId tid,
                            std::uint32_t numThreads, Addr addrBase,
-                           std::uint64_t seed)
-    : params_(params), tid_(tid), numThreads_(numThreads),
+                           std::uint64_t seed, double burstiness)
+    : params_(params), burstiness_(burstiness), tid_(tid),
+      numThreads_(numThreads),
       rng_(seed * 0x517cc1b727220a95ull + tid * 0x2545f4914f6cdd1dull + 1)
 {
     const Addr privSpan = pageAlign(params.localBytes) +
@@ -121,7 +122,7 @@ SyntheticApp::buildProgram(std::uint64_t seed)
     // and fall uniformly otherwise.
     const double farFrac = 1.0 - params_.localFrac;
     const auto isLocalSlot = [&](std::uint32_t i) {
-        if (prng.chance(params_.burstiness))
+        if (prng.chance(burstiness_))
             return static_cast<double>(i) >= farFrac * length;
         return prng.chance(params_.localFrac);
     };

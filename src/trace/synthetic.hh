@@ -48,14 +48,6 @@ struct AppParams
     // sequential, random, and pointer-chase streams over working sets
     // that overflow the caches.
     double localFrac = 0.75;   ///< of memory ops: cache-resident
-    /**
-     * Fraction of far accesses clustered into the head of the loop
-     * body (the "memory phase"), mimicking the burstiness of real
-     * applications: each iteration alternates a miss storm with a
-     * compute stretch, which is what intermittently fills the DRAM
-     * transaction queues.
-     */
-    double burstiness = 0.85;
     double seqFrac = 0.45;     ///< of far ops: sequential/strided
     double randomFrac = 0.35;  ///< of far ops: random in randBytes
     double chaseFrac = 0.20;   ///< of far ops: serial pointer chasing
@@ -84,11 +76,18 @@ class SyntheticApp : public TraceGenerator
      * @param addrBase Base of this application's address space (keeps
      *        multiprogrammed bundles disjoint).
      * @param seed Per-run seed; the static program depends only on
-     *        (params, seed), the dynamic stream also on tid.
+     *        (params, seed, burstiness), the dynamic stream also on
+     *        tid.
+     * @param burstiness Fraction of far accesses clustered into the
+     *        head of the loop body (the "memory phase"), mimicking
+     *        real applications: each iteration alternates a miss
+     *        storm with a compute stretch, which is what
+     *        intermittently fills the DRAM transaction queues
+     *        (SystemConfig::burstiness).
      */
     SyntheticApp(const AppParams &params, CoreId tid,
                  std::uint32_t numThreads, Addr addrBase,
-                 std::uint64_t seed);
+                 std::uint64_t seed, double burstiness = 0.85);
 
     void next(MicroOp &op) override;
 
@@ -138,6 +137,7 @@ class SyntheticApp : public TraceGenerator
     Addr genAddress(Stream &stream);
 
     AppParams params_;
+    double burstiness_;
     CoreId tid_;
     std::uint32_t numThreads_;
     Addr privateBase_;

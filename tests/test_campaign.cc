@@ -431,6 +431,35 @@ TEST_F(CampaignTest, CampaignHashTracksJobIdentity)
     EXPECT_NE(exec::campaignHash(jobs), exec::campaignHash(shorter));
 }
 
+TEST_F(CampaignTest, CampaignHashTracksEveryVariantSetting)
+{
+    // Editing any setting of a variant must refuse a --resume of the
+    // old campaign directory, not replay its stale records.
+    const auto hashWith = [](const std::string &key,
+                             const std::string &value) {
+        exec::SweepSpec spec;
+        spec.workloads = {"art"};
+        spec.quota = 600;
+        spec.variants.push_back({"r", {{"sched", "frfcfs"}}});
+        if (!key.empty())
+            spec.variants[0].settings.emplace_back(key, value);
+        return exec::campaignHash(spec.expand());
+    };
+    const std::uint64_t base = hashWith("", "");
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"ranks", "1"},          {"speed", "ddr3-1600"},
+             {"lq", "48"},            {"prefetch", "1"},
+             {"split-wq", "1"},       {"morse-cmds", "6"},
+             {"inject", "early-cas"}, {"inject-period", "3"},
+             {"map", "block"},        {"counter-width", "8"},
+             {"prob-shift", "2"},     {"prewarm-dirty", "0.35"},
+             {"burstiness", "0"}}) {
+        EXPECT_NE(hashWith(key, value), base) << key << "=" << value;
+    }
+    EXPECT_NE(hashWith("ranks", "1"), hashWith("ranks", "4"));
+}
+
 // ---------------------------------------------------------------
 // Sweep-spec parse errors
 // ---------------------------------------------------------------

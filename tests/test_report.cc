@@ -1,8 +1,9 @@
 /**
  * @file
  * critmem-sweep's post-run reports (exec/report.hh) over hand-built
- * records: the parallel speedup table, the multiprog weighted-speedup
- * cell, a metric: column, the skipped-row notice and the checks that
+ * records: the parallel speedup table (also over a listed subset of
+ * variants), the multiprog weighted-speedup cell, metric: columns
+ * (averaged and peak), the skipped-row notice and the checks that
  * refuse a report before a campaign runs.
  */
 
@@ -161,6 +162,45 @@ TEST(ExecReport, MetricColumnsArePerVariant)
               "Average                 5.00              2.50\n");
 }
 
+TEST(ExecReport, SpeedupColumnListPicksItsOwnBase)
+{
+    // Two baselines in one spec: each report divides by its own.
+    const exec::SweepSpec spec =
+        specWith(exec::SweepSpec::Mode::Parallel, false,
+                 {"a-frf", "a-crit", "b-frf", "b-crit"});
+    exec::MemorySink memory;
+    memory.consume(parallelRecord("art", "a-frf", 1000));
+    memory.consume(parallelRecord("art", "a-crit", 800));
+    memory.consume(parallelRecord("art", "b-frf", 600));
+    memory.consume(parallelRecord("art", "b-crit", 400));
+
+    EXPECT_EQ(render("speedup:b-frf:b-crit", spec, memory),
+              "# speedup vs b-frf (quota=1000/core)\n"
+              "app              b-crit\n"
+              "art              1.5000\n"
+              "Average          1.5000\n");
+}
+
+TEST(ExecReport, PeakMetricsEndInAMaxRow)
+{
+    const exec::SweepSpec spec =
+        specWith(exec::SweepSpec::Mode::Parallel, false, {"max"});
+    exec::MemorySink memory;
+    exec::JobRecord art = parallelRecord("art", "max", 100);
+    art.result.maxCbpValue = 4855;
+    exec::JobRecord swim = parallelRecord("swim", "max", 100);
+    swim.result.maxCbpValue = 1000;
+    memory.consume(art);
+    memory.consume(swim);
+
+    EXPECT_EQ(render("metric:cbp-max,cbp-bits", spec, memory),
+              "# metrics (quota=1000/core)\n"
+              "app         max:cbp-max max:cbp-bits\n"
+              "art                4855           13\n"
+              "swim               1000           10\n"
+              "Max                4855           13\n");
+}
+
 TEST(ExecReport, RefusesReportsItCannotRender)
 {
     const exec::SweepSpec parallel =
@@ -180,7 +220,15 @@ TEST(ExecReport, RefusesReportsItCannotRender)
                  std::runtime_error);
     EXPECT_THROW(exec::checkReport("metric:max-slowdown", parallel),
                  std::runtime_error);
+    EXPECT_THROW(exec::checkReport("speedup:base:nosuch", parallel),
+                 std::runtime_error);
+    EXPECT_THROW(exec::checkReport("speedup::base", parallel),
+                 std::runtime_error);
+    // A Max row and an Average row cannot close one table.
+    EXPECT_THROW(exec::checkReport("metric:cbp-max,lq-full", parallel),
+                 std::runtime_error);
     EXPECT_NO_THROW(exec::checkReport("speedup:base", parallel));
+    EXPECT_NO_THROW(exec::checkReport("speedup:base:base", parallel));
     EXPECT_NO_THROW(exec::checkReport("metric:lq-full", bundles));
     EXPECT_NO_THROW(exec::checkReport("failures", parallel));
 }

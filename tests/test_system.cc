@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "fair/metrics.hh"
@@ -69,10 +68,12 @@ TEST(System, SchedulerChangesExecution)
 
 TEST(System, PrewarmPopulatesL2)
 {
-    System sys(smallParallel(), appParams("swim"));
+    SystemConfig cfg = smallParallel();
+    cfg.prewarmDirty = 0.3;
+    System sys(cfg, appParams("swim"));
     const std::uint64_t before =
         sys.hierarchy().l2().cacheStats().evictions.value();
-    sys.prewarmCaches(0.9, 0.3);
+    sys.prewarmCaches();
     sys.run(2000);
     // A ~full L2 must evict on new fills almost immediately.
     EXPECT_GT(sys.hierarchy().l2().cacheStats().evictions.value(),
@@ -81,8 +82,10 @@ TEST(System, PrewarmPopulatesL2)
 
 TEST(System, PrewarmDirtyLinesCauseWritebacks)
 {
-    System sys(smallParallel(), appParams("swim"));
-    sys.prewarmCaches(0.95, 0.5);
+    SystemConfig cfg = smallParallel();
+    cfg.prewarmDirty = 0.5;
+    System sys(cfg, appParams("swim"));
+    sys.prewarmCaches();
     sys.run(3000);
     std::uint64_t writes = 0;
     for (std::uint32_t c = 0; c < sys.dram().numChannels(); ++c)
@@ -250,17 +253,6 @@ TEST(Experiment, RunBundleMeasuresEveryApp)
     const RunResult r = runBundle(cfg, multiprogBundles()[0], 1200);
     for (std::uint32_t i = 0; i < 4; ++i)
         EXPECT_GT(r.ipc(i, 1200), 0.0);
-}
-
-TEST(Experiment, DefaultQuotaReadsEnvironment)
-{
-    ::unsetenv("CRITMEM_INSTRS");
-    EXPECT_EQ(defaultQuota(1234), 1234u);
-    ::setenv("CRITMEM_INSTRS", "777", 1);
-    EXPECT_EQ(defaultQuota(1234), 777u);
-    ::setenv("CRITMEM_INSTRS", "garbage", 1);
-    EXPECT_EQ(defaultQuota(1234), 1234u);
-    ::unsetenv("CRITMEM_INSTRS");
 }
 
 TEST(Experiment, NaiveForwardingRunsEndToEnd)

@@ -24,6 +24,7 @@
 #include <optional>
 #include <string>
 
+#include "exec/settings.hh"
 #include "fair/baseline_cache.hh"
 #include "fair/fairness_stats.hh"
 #include "sched/registry.hh"
@@ -66,31 +67,15 @@ usage()
         "                     them as the 'fair' stats group\n"
         "  --preset NAME      base config: parallel (default) |"
         " multiprog\n"
-        "  --sched NAME       scheduling algorithm (default frfcfs;"
-        " see --list-schedulers)\n"
-        "  --predictor NAME   criticality predictor (default none;"
-        " see --list-schedulers)\n"
-        "  --entries N        CBP/CLPT entries, 0 = unlimited"
-        " (default 64)\n"
-        "  --reset N          CBP reset interval, CPU cycles"
-        " (default 0)\n"
         "  --instrs N         commit quota per core (default 24000)\n"
         "  --warmup N         warmup instructions (default half)\n"
-        "  --seed N           simulation seed (default 1)\n"
-        "  --ranks N          ranks per channel (default 4)\n"
-        "  --channels N       DRAM channels (default 4; bundles 2)\n"
-        "  --speed NAME       ddr3-1066 | ddr3-1600 | ddr3-2133\n"
-        "  --lq N             load queue entries (default 32)\n"
-        "  --prefetch         enable the L2 stream prefetcher\n"
-        "  --closed-page      closed-page row policy\n"
-        "  --split-wq         modern split write buffer\n"
         "  --stats            dump the full statistics tree\n"
         "  --stats-json FILE  write the stats tree as JSON;"
         " '-' = stdout\n"
         "  --perf             add a host-dependent 'perf' stats group\n"
         "                     (wall ms, cycles/sec, DRAM cmds/sec);\n"
-        "                     also via CRITMEM_PERF=1. Off by default\n"
-        "                     so stats output stays deterministic\n"
+        "                     off by default so stats output stays\n"
+        "                     deterministic\n"
         "  --no-cycle-skip    force the tick-every-cycle loop (results\n"
         "                     are identical either way; this only\n"
         "                     changes simulator speed)\n"
@@ -103,17 +88,9 @@ usage()
         "  --check            enable the DRAM protocol invariant\n"
         "                     checker and forward-progress watchdog\n"
         "                     (exit 2 on violation)\n"
-        "  --inject KIND      inject faults (implies --check):\n"
-        "                     drop-completion | early-cas |"
-        " skip-refresh |\n"
-        "                     starve-core | flip-crit |"
-        " crash-worker |\n"
-        "                     hog-memory (the last two fault the"
-        " process\n"
-        "                     itself — for critmem-sweep --isolate"
-        " drills)\n"
-        "  --inject-period N  mean opportunities between faults"
-        " (default 64)\n");
+        "settings (each is also a spec variant key, KEY=VALUE):\n"
+        "%s",
+        exec::settingsUsage().c_str());
     std::exit(1);
 }
 
@@ -196,12 +173,9 @@ main(int argc, char **argv)
     std::uint64_t instrs = 24000;
     std::uint64_t warmup = ~std::uint64_t{0};
     bool dumpStats = false;
-    const char *perfEnv = std::getenv("CRITMEM_PERF");
-    bool perfStats = perfEnv != nullptr && perfEnv[0] == '1';
+    bool perfStats = false;
     bool alone = false;
     bool fairness = false;
-    bool speedSet = false;
-    DramSpeed speed = DramSpeed::DDR3_2133;
     // Trace sources register after the flag pass so the recovery
     // flags apply no matter where they appear on the command line,
     // and so --list-workloads can include them.
@@ -214,6 +188,15 @@ main(int argc, char **argv)
         if (i + 1 >= argc)
             usage();
         return argv[++i];
+    };
+    auto number = [&](int &i) -> std::uint64_t {
+        const std::string flag = argv[i];
+        const std::string value = nextArg(i);
+        try {
+            return exec::parseUint(flag, value);
+        } catch (const std::exception &err) {
+            fatal(err.what());
+        }
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -252,8 +235,7 @@ main(int argc, char **argv)
             if (!ingest::findRecoveryPolicy(name, traceOpts.policy))
                 fatal("unknown trace recovery policy '", name, "'");
         } else if (arg == "--trace-skip-budget") {
-            traceOpts.skipBudget = std::strtoull(nextArg(i), nullptr,
-                                                 10);
+            traceOpts.skipBudget = number(i);
         } else if (arg == "--alone") {
             alone = true;
         } else if (arg == "--fairness") {
@@ -262,52 +244,10 @@ main(int argc, char **argv)
             const std::string preset = nextArg(i);
             if (preset != "parallel" && preset != "multiprog")
                 fatal("unknown preset '", preset, "'");
-        } else if (arg == "--sched") {
-            const std::string name = nextArg(i);
-            const auto algo = findSchedAlgo(name);
-            if (!algo)
-                fatal("unknown scheduler '", name, "'");
-            cfg.sched.algo = *algo;
-        } else if (arg == "--predictor") {
-            const std::string name = nextArg(i);
-            const auto pred = findCritPredictor(name);
-            if (!pred)
-                fatal("unknown predictor '", name, "'");
-            cfg.crit.predictor = *pred;
-        } else if (arg == "--entries") {
-            cfg.crit.tableEntries =
-                static_cast<std::uint32_t>(std::atoll(nextArg(i)));
-        } else if (arg == "--reset") {
-            cfg.crit.resetInterval = std::strtoull(nextArg(i), nullptr,
-                                                   10);
         } else if (arg == "--instrs") {
-            instrs = std::strtoull(nextArg(i), nullptr, 10);
+            instrs = number(i);
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(nextArg(i), nullptr, 10);
-        } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(nextArg(i), nullptr, 10);
-        } else if (arg == "--ranks") {
-            cfg.dram.ranksPerChannel =
-                static_cast<std::uint32_t>(std::atoi(nextArg(i)));
-        } else if (arg == "--channels") {
-            cfg.dram.channels =
-                static_cast<std::uint32_t>(std::atoi(nextArg(i)));
-        } else if (arg == "--speed") {
-            const std::string name = nextArg(i);
-            const auto grade = findDramSpeed(name);
-            if (!grade)
-                fatal("unknown speed grade '", name, "'");
-            speed = *grade;
-            speedSet = true;
-        } else if (arg == "--lq") {
-            cfg.core.lqEntries =
-                static_cast<std::uint32_t>(std::atoi(nextArg(i)));
-        } else if (arg == "--prefetch") {
-            cfg.prefetch.enabled = true;
-        } else if (arg == "--closed-page") {
-            cfg.dram.closedPage = true;
-        } else if (arg == "--split-wq") {
-            cfg.dram.unifiedQueue = false;
+            warmup = number(i);
         } else if (arg == "--perf") {
             perfStats = true;
         } else if (arg == "--no-cycle-skip") {
@@ -324,20 +264,15 @@ main(int argc, char **argv)
             doListSchedulers = true;
         } else if (arg == "--check") {
             cfg.check.enabled = true;
-        } else if (arg == "--inject") {
-            const std::string name = nextArg(i);
-            const auto fault = findFaultKind(name);
-            if (!fault)
-                fatal("unknown fault kind '", name, "'");
-            cfg.check.enabled = true;
-            cfg.check.fault = *fault;
-        } else if (arg == "--inject-period") {
-            cfg.check.faultPeriod = std::strtoull(nextArg(i), nullptr,
-                                                  10);
         } else if (arg == "--quiet") {
             setQuiet(true);
         } else {
-            usage();
+            try {
+                if (!exec::applySettingFlag(cfg, argc, argv, i))
+                    usage();
+            } catch (const std::exception &err) {
+                fatal(err.what());
+            }
         }
     }
     // Register trace sources before anything that can consult the
@@ -367,12 +302,6 @@ main(int argc, char **argv)
     if (fairness && bundleName.empty())
         fatal("--fairness requires --bundle");
 
-    if (speedSet) {
-        const DramConfig fresh = DramConfig::preset(speed);
-        cfg.dram.t = fresh.t;
-        cfg.dram.busMHz = fresh.busMHz;
-        cfg.dram.speed = speed;
-    }
     if (warmup == ~std::uint64_t{0})
         warmup = instrs / 2;
 
@@ -500,7 +429,7 @@ main(int argc, char **argv)
         }
     }
 
-    // Host-throughput group, opt-in (--perf / CRITMEM_PERF=1): these
+    // Host-throughput group, opt-in (--perf): these
     // values are wall-clock-dependent, so keeping them out of the
     // default output preserves the byte-identical stats-json
     // determinism contract. Lives here so it outlasts both dumps.
